@@ -727,6 +727,15 @@ fn accept_data_burst(shared: &Arc<Shared>, poller: &Poller, slot: &mut ListenerS
             Ok((stream, _)) => {
                 slot.backoff = ACCEPT_BACKOFF_MIN;
                 let _ = stream.set_nonblocking(false);
+                // Nagle must be off on this end too, not only on the
+                // client's. A pipelined client writes a window of
+                // `Store`s and then only reads, so it has no data to
+                // piggyback ACKs on. With Nagle on, each small `Ok`
+                // reply after the first waits for the previous one's
+                // ACK, which the client's delayed-ACK timer holds for
+                // ~40 ms. The last partial segment of a large `Data`
+                // reply can be held back the same way.
+                let _ = stream.set_nodelay(true);
                 let id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
                 let registered = match stream.try_clone() {
                     Ok(clone) => {

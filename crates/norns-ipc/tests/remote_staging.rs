@@ -350,6 +350,89 @@ fn wide_window_preserves_patterned_content_integrity() {
     );
 }
 
+/// Regression: with Nagle left on at the serving end, every windowed
+/// transfer paid the client's ~40 ms delayed-ACK timer. The client has
+/// written its window of `Store`s and only reads, so it sends no data
+/// that could carry an early ACK, and the server's second small `Ok`
+/// waits behind the first, unACKed one. At the default window and
+/// chunk size a 1 MiB file is one chunk of four 256 KiB ranges in
+/// flight, so each such push must take well under that floor. Pulls
+/// are held to the same limit.
+#[test]
+fn windowed_transfers_do_not_wait_out_the_delayed_ack_timer() {
+    const FILES: usize = 16;
+    const SIZE: usize = 1 << 20;
+    const LIMIT: Duration = Duration::from_millis(20);
+    let cfg = |tag: &str| DaemonConfig::in_dir(temp_root(tag).join("sockets"));
+    let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
+        two_nodes("nodelay", cfg("nodelay-a"), cfg("nodelay-b"));
+    let files: Vec<Vec<u8>> = (0..FILES)
+        .map(|k| {
+            (0..SIZE)
+                .map(|i| ((i * 211 + 23 + k * 97) % 251) as u8)
+                .collect()
+        })
+        .collect();
+    for (k, data) in files.iter().enumerate() {
+        std::fs::write(mount_a.join(format!("src{k}.dat")), data).unwrap();
+    }
+
+    // One transfer at a time, timed from submit to its wait returning.
+    let mut timed = |input: ResourceDesc, output: ResourceDesc| {
+        let started = Instant::now();
+        let task = ctl_a
+            .submit(1, TaskSpec::new(TaskOp::Copy, input, Some(output)), None)
+            .unwrap();
+        let stats = ctl_a.wait(task, 0).unwrap();
+        let took = started.elapsed();
+        assert_eq!(stats.state, TaskState::Finished);
+        assert_eq!(stats.bytes_moved, SIZE as u64);
+        took
+    };
+    let median = |times: &[Duration]| {
+        let mut sorted = times.to_vec();
+        sorted.sort();
+        sorted[sorted.len() / 2]
+    };
+
+    let pushes: Vec<Duration> = (0..FILES)
+        .map(|k| {
+            timed(
+                local("nodea-ds", &format!("src{k}.dat")),
+                remote("nodeb", "nodeb-ds", &format!("dst{k}.dat")),
+            )
+        })
+        .collect();
+    let pulls: Vec<Duration> = (0..FILES)
+        .map(|k| {
+            timed(
+                remote("nodeb", "nodeb-ds", &format!("dst{k}.dat")),
+                local("nodea-ds", &format!("back{k}.dat")),
+            )
+        })
+        .collect();
+
+    for (k, data) in files.iter().enumerate() {
+        assert!(
+            std::fs::read(mount_b.join(format!("dst{k}.dat"))).unwrap() == *data,
+            "pushed file {k} must arrive intact"
+        );
+        assert!(
+            std::fs::read(mount_a.join(format!("back{k}.dat"))).unwrap() == *data,
+            "pulled file {k} must round-trip intact"
+        );
+    }
+    let (push_p50, pull_p50) = (median(&pushes), median(&pulls));
+    assert!(
+        push_p50 < LIMIT,
+        "median 1 MiB push took {push_p50:?} (>= {LIMIT:?}): a delayed-ACK stall; all: {pushes:?}"
+    );
+    assert!(
+        pull_p50 < LIMIT,
+        "median 1 MiB pull took {pull_p50:?} (>= {LIMIT:?}): a delayed-ACK stall; all: {pulls:?}"
+    );
+}
+
 #[test]
 fn cancel_interrupts_a_pull_with_a_full_window_in_flight() {
     // 4 MiB chunks with a window of 8 keep eight 512 KiB ranges in
