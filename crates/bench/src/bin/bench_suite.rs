@@ -164,7 +164,10 @@ fn raise_nofile() {
 /// `clients` threads each hold one control connection and drive
 /// `per_client` pings with up to `depth` outstanding. Returns
 /// (total_ops, ops_per_s); only the ping loop is timed, not the
-/// connection setup.
+/// connection setup. Each client stamps its own start (after the
+/// barrier) and end; the wall time is the latest end minus the
+/// earliest start, so clients that run before the main thread is
+/// scheduled again still count.
 fn measure_concurrent(
     control_path: &Path,
     clients: usize,
@@ -179,6 +182,7 @@ fn measure_concurrent(
         handles.push(std::thread::spawn(move || {
             let mut conn = PipelinedCtl::connect(&control_path).unwrap();
             start_line.wait();
+            let start = Instant::now();
             let mut issued = 0usize;
             let mut done = 0usize;
             while issued < depth.min(per_client) {
@@ -199,14 +203,22 @@ fn measure_concurrent(
                     }
                 }
             }
+            (start, Instant::now())
         }));
     }
     start_line.wait();
-    let start = Instant::now();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let secs = start.elapsed().as_secs_f64();
+    let spans: Vec<(Instant, Instant)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let first_start = spans
+        .iter()
+        .map(|s| s.0)
+        .min()
+        .expect("at least one client");
+    let last_end = spans
+        .iter()
+        .map(|s| s.1)
+        .max()
+        .expect("at least one client");
+    let secs = (last_end - first_start).as_secs_f64();
     let total = (clients * per_client) as u64;
     (total, total as f64 / secs)
 }

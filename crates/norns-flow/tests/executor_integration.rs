@@ -8,6 +8,7 @@
 //! wire's v6 directory enumeration.
 
 use std::fs;
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -458,9 +459,10 @@ fn stage_in_timeout_cancels_job() {
             .with_queue_capacity(64),
     )
     .unwrap();
-    // Single-purpose daemon with 4 workers; jam every worker with big
-    // monolithic copies so the job's stage-in task stays pending past
-    // its deadline.
+    // Single-purpose daemon with 4 workers; jam every worker with
+    // pulls from a peer that accepts no connection and never answers,
+    // so the job's stage-in task stays pending past its deadline no
+    // matter how fast the box is.
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     let mount = root.join("n0/ds");
     ctl.register_dataspace(DataspaceDesc {
@@ -471,7 +473,9 @@ fn stage_in_timeout_cancels_job() {
         tracked: false,
     })
     .unwrap();
-    fs::write(mount.join("blocker.dat"), vec![7u8; 48 << 20]).unwrap();
+    let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+    ctl.register_peer("silent", &silent.local_addr().unwrap().to_string())
+        .unwrap();
     fs::write(mount.join("input.dat"), b"late").unwrap();
     let mut blockers = Vec::new();
     for i in 0..8 {
@@ -480,7 +484,8 @@ fn stage_in_timeout_cancels_job() {
                 1,
                 TaskSpec::new(
                     TaskOp::Copy,
-                    ResourceDesc::PosixPath {
+                    ResourceDesc::RemotePath {
+                        host: "silent".into(),
                         nsid: "tmp0".into(),
                         path: "blocker.dat".into(),
                     },
@@ -510,6 +515,9 @@ fn stage_in_timeout_cancels_job() {
         )
         .unwrap();
     exec.run().unwrap();
+    // Closing the listener resets the queued connections: the pinned
+    // pulls fail at once and the queued ones are refused.
+    drop(silent);
     assert_eq!(exec.job_state(job), Some(FlowJobState::Cancelled));
     assert_eq!(exec.failure(job), Some("stage-in timeout"));
     for b in blockers {

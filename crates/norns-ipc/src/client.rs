@@ -1,12 +1,15 @@
-//! Client libraries for the real daemon: [`CtlClient`] (the
-//! `nornsctl` API) and [`UserClient`] (the `norns` API) speak one
-//! request/response at a time; [`PipelinedCtl`] and [`PipelinedUser`]
-//! keep many tagged requests outstanding on a single connection and
-//! demultiplex responses arriving out of order (wire v7).
+//! Client libraries for the real daemon: [`PipelinedCtl`] (the
+//! `nornsctl` API) and [`PipelinedUser`] (the `norns` API). Every
+//! request carries a tag (wire v7), so one connection can keep many
+//! requests outstanding and demultiplex responses arriving out of
+//! order. A blocking call such as `wait` is `issue` plus `wait_for`
+//! on its own tag; responses to other tags that arrive meanwhile are
+//! stashed for a later drain.
 //!
 //! Each client owns one connection; spawn one per thread to model
 //! concurrent processes (as the Fig. 4 benchmark does), or hold one
-//! pipelined client and batch.
+//! client and batch. [`CtlClient`] and [`UserClient`] are the same
+//! types under their historical names.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -67,51 +70,6 @@ fn tagged_body(tag: u64, request: &Bytes, payload: Option<&[u8]>) -> BytesMut {
     body
 }
 
-struct Connection {
-    stream: UnixStream,
-    reader: FrameReader,
-    next_tag: u64,
-}
-
-impl Connection {
-    fn connect(path: &Path) -> ClientResult<Self> {
-        Ok(Connection {
-            stream: UnixStream::connect(path)?,
-            reader: FrameReader::new(),
-            next_tag: 0,
-        })
-    }
-
-    fn call(&mut self, request: Bytes, payload: Option<&[u8]>) -> ClientResult<Response> {
-        let tag = self.next_tag;
-        self.next_tag = self.next_tag.wrapping_add(1);
-        let framed = encode_frame(&tagged_body(tag, &request, payload));
-        self.stream.write_all(&framed)?;
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            if let Some(frame) = self
-                .reader
-                .next_frame()
-                .map_err(|e| ClientError::Protocol(e.to_string()))?
-            {
-                let (got, response) = decode_tagged::<Response>(frame)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                if got != tag {
-                    return Err(ClientError::Protocol(format!(
-                        "response tag {got} does not match request tag {tag}"
-                    )));
-                }
-                return Ok(response);
-            }
-            let n = self.stream.read(&mut buf)?;
-            if n == 0 {
-                return Err(ClientError::Protocol("daemon closed the connection".into()));
-            }
-            self.reader.extend(&buf[..n]);
-        }
-    }
-}
-
 pub fn expect_ok(r: Response) -> ClientResult<()> {
     match r {
         Response::Ok => Ok(()),
@@ -152,250 +110,6 @@ pub fn expect_completion(r: Response) -> ClientResult<(u64, TaskStats)> {
     }
 }
 
-/// The administrative (`nornsctl`) client.
-pub struct CtlClient(Connection);
-
-impl CtlClient {
-    pub fn connect(path: &Path) -> ClientResult<Self> {
-        Ok(CtlClient(Connection::connect(path)?))
-    }
-
-    fn call(&mut self, req: &CtlRequest, payload: Option<&[u8]>) -> ClientResult<Response> {
-        self.0.call(req.to_bytes(), payload)
-    }
-
-    pub fn ping(&mut self) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::SendCommand(DaemonCommand::Ping), None)?)
-    }
-
-    pub fn send_command(&mut self, cmd: DaemonCommand) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::SendCommand(cmd), None)?)
-    }
-
-    pub fn status(&mut self) -> ClientResult<DaemonStatus> {
-        match self.call(&CtlRequest::Status, None)? {
-            Response::Status(s) => Ok(s),
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
-    }
-
-    pub fn register_dataspace(&mut self, desc: DataspaceDesc) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::RegisterDataspace(desc), None)?)
-    }
-
-    pub fn unregister_dataspace(&mut self, nsid: &str) -> ClientResult<()> {
-        expect_ok(self.call(
-            &CtlRequest::UnregisterDataspace {
-                nsid: nsid.to_string(),
-            },
-            None,
-        )?)
-    }
-
-    pub fn register_job(&mut self, job: JobDesc) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::RegisterJob(job), None)?)
-    }
-
-    pub fn unregister_job(&mut self, job_id: u64) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::UnregisterJob { job_id }, None)?)
-    }
-
-    pub fn add_process(&mut self, job_id: u64, pid: u64, uid: u32, gid: u32) -> ClientResult<()> {
-        expect_ok(self.call(
-            &CtlRequest::AddProcess {
-                job_id,
-                pid,
-                uid,
-                gid,
-            },
-            None,
-        )?)
-    }
-
-    /// Map a `RemotePath.host` to a peer daemon's data-plane address
-    /// (v4). Re-registering a host updates its address.
-    pub fn register_peer(&mut self, host: &str, data_addr: &str) -> ClientResult<()> {
-        expect_ok(self.call(
-            &CtlRequest::RegisterPeer {
-                host: host.to_string(),
-                data_addr: data_addr.to_string(),
-            },
-            None,
-        )?)
-    }
-
-    /// Submit a task; `payload` carries the buffer for
-    /// memory-region inputs.
-    pub fn submit(
-        &mut self,
-        job_id: u64,
-        spec: TaskSpec,
-        payload: Option<&[u8]>,
-    ) -> ClientResult<u64> {
-        expect_task_id(self.call(&CtlRequest::SubmitTask { job_id, spec }, payload)?)
-    }
-
-    /// Block until the task is terminal or the timeout expires.
-    /// `timeout_usec == 0` means wait forever; an expired nonzero
-    /// timeout returns the task's in-flight snapshot (state still
-    /// `Pending`/`InProgress`), never an error.
-    pub fn wait(&mut self, task_id: u64, timeout_usec: u64) -> ClientResult<TaskStats> {
-        expect_stats(self.call(
-            &CtlRequest::WaitTask {
-                task_id,
-                timeout_usec,
-            },
-            None,
-        )?)
-    }
-
-    /// Block until *any* task of the set is terminal (v5 batch wait):
-    /// one round-trip returns the first completion as `(task_id,
-    /// stats)` instead of N polling loops. `timeout_usec == 0` means
-    /// wait forever; an expired nonzero timeout surfaces as a
-    /// [`ClientError::Remote`] carrying [`ErrorCode::Timeout`].
-    pub fn wait_any(
-        &mut self,
-        task_ids: &[u64],
-        timeout_usec: u64,
-    ) -> ClientResult<(u64, TaskStats)> {
-        expect_completion(self.call(
-            &CtlRequest::WaitAny {
-                task_ids: task_ids.to_vec(),
-                timeout_usec,
-            },
-            None,
-        )?)
-    }
-
-    pub fn query(&mut self, task_id: u64) -> ClientResult<TaskStats> {
-        expect_stats(self.call(&CtlRequest::QueryTask { task_id }, None)?)
-    }
-
-    /// Cancel a still-pending task (`nornsctl` task control).
-    pub fn cancel(&mut self, task_id: u64) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::CancelTask { task_id }, None)?)
-    }
-
-    /// Enumerate a dataspace directory's children (v6): names only,
-    /// sorted, at most [`norns_proto::MAX_DIR_ENTRIES`] of them
-    /// (larger directories are refused, not truncated). A
-    /// non-directory path yields [`ErrorCode::BadArgs`]; scatter
-    /// planners use that to fall back to single-file placement.
-    pub fn list_dir(&mut self, nsid: &str, path: &str) -> ClientResult<Vec<String>> {
-        match self.call(
-            &CtlRequest::ListDir {
-                nsid: nsid.to_string(),
-                path: path.to_string(),
-            },
-            None,
-        )? {
-            Response::DirEntries { entries } => Ok(entries),
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
-    }
-}
-
-/// The application (`norns`) client.
-pub struct UserClient {
-    conn: Connection,
-    pid: u64,
-}
-
-impl UserClient {
-    pub fn connect(path: &Path) -> ClientResult<Self> {
-        Ok(UserClient {
-            conn: Connection::connect(path)?,
-            pid: std::process::id() as u64,
-        })
-    }
-
-    pub fn with_pid(path: &Path, pid: u64) -> ClientResult<Self> {
-        Ok(UserClient {
-            conn: Connection::connect(path)?,
-            pid,
-        })
-    }
-
-    fn call(&mut self, req: &UserRequest, payload: Option<&[u8]>) -> ClientResult<Response> {
-        self.conn.call(req.to_bytes(), payload)
-    }
-
-    /// `norns_get_dataspace_info`.
-    pub fn dataspaces(&mut self) -> ClientResult<Vec<DataspaceDesc>> {
-        match self.call(&UserRequest::GetDataspaceInfo, None)? {
-            Response::Dataspaces(d) => Ok(d),
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
-    }
-
-    /// `norns_submit` (Listing 2).
-    pub fn submit(&mut self, spec: TaskSpec, payload: Option<&[u8]>) -> ClientResult<u64> {
-        let pid = self.pid;
-        expect_task_id(self.call(&UserRequest::SubmitTask { pid, spec }, payload)?)
-    }
-
-    /// `norns_wait`. Scoped to this client's pid: waiting on another
-    /// submitter's task yields `PermissionDenied` (v4).
-    /// `timeout_usec == 0` means wait forever; an expired nonzero
-    /// timeout returns the in-flight snapshot, never an error.
-    pub fn wait(&mut self, task_id: u64, timeout_usec: u64) -> ClientResult<TaskStats> {
-        let pid = self.pid;
-        expect_stats(self.call(
-            &UserRequest::WaitTask {
-                pid,
-                task_id,
-                timeout_usec,
-            },
-            None,
-        )?)
-    }
-
-    /// Block until any task of the set is terminal (v5 batch wait);
-    /// every id must be one of this client's own submissions.
-    /// `timeout_usec == 0` means wait forever; an expired nonzero
-    /// timeout surfaces as a [`ClientError::Remote`] carrying
-    /// [`ErrorCode::Timeout`].
-    pub fn wait_any(
-        &mut self,
-        task_ids: &[u64],
-        timeout_usec: u64,
-    ) -> ClientResult<(u64, TaskStats)> {
-        let pid = self.pid;
-        expect_completion(self.call(
-            &UserRequest::WaitAny {
-                pid,
-                task_ids: task_ids.to_vec(),
-                timeout_usec,
-            },
-            None,
-        )?)
-    }
-
-    /// `norns_error` (status/stats query). Scoped to this client's pid
-    /// like [`UserClient::wait`].
-    pub fn query(&mut self, task_id: u64) -> ClientResult<TaskStats> {
-        let pid = self.pid;
-        expect_stats(self.call(&UserRequest::QueryTask { pid, task_id }, None)?)
-    }
-
-    /// Cancel a still-pending task. Only tasks submitted by this
-    /// client's pid can be cancelled through the user API.
-    pub fn cancel(&mut self, task_id: u64) -> ClientResult<()> {
-        let pid = self.pid;
-        expect_ok(self.call(&UserRequest::CancelTask { pid, task_id }, None)?)
-    }
-}
-
 /// Match one tagged response frame against the set of outstanding
 /// tags. A response whose tag was never issued — or was already
 /// answered — is a protocol violation, surfaced as an error rather
@@ -414,12 +128,11 @@ pub fn demux(pending: &mut HashSet<u64>, frame: Bytes) -> ClientResult<(u64, Res
 /// One connection with many tagged requests outstanding (wire v7).
 ///
 /// `issue_*` methods write a request and return its tag immediately;
-/// responses are collected with [`PipelinedConn::try_drain`] (never
-/// blocks), [`PipelinedConn::poll`] (bounded block) or
-/// [`PipelinedConn::wait_for`] (blocks for one specific tag, stashing
-/// others). The connection exposes its raw fd so an event loop can
-/// multiplex many pipelined connections over one `epoll` set.
-pub struct PipelinedConn {
+/// responses are collected with `try_drain` (never blocks), `poll`
+/// (bounded block) or `wait_for` (blocks for one specific tag,
+/// stashing others). The connection exposes its raw fd so an event
+/// loop can multiplex many pipelined connections over one `epoll` set.
+struct PipelinedConn {
     stream: UnixStream,
     reader: FrameReader,
     next_tag: u64,
@@ -553,13 +266,15 @@ impl AsRawFd for PipelinedConn {
     }
 }
 
-/// The administrative (`nornsctl`) client with request pipelining:
-/// the full [`CtlClient`] API (each call issues and then blocks for
-/// its own response, stashing out-of-order arrivals) plus `issue_*` /
-/// `wait_for` / `try_drain` for keeping many requests in flight — one
-/// connection per daemon is enough to multiplex every wait an
-/// orchestrator has outstanding.
+/// The administrative (`nornsctl`) client. Each blocking call issues
+/// its request and then blocks for its own response, stashing
+/// out-of-order arrivals; `issue_*` / `wait_for` / `try_drain` keep
+/// many requests in flight — one connection per daemon is enough to
+/// multiplex every wait an orchestrator has outstanding.
 pub struct PipelinedCtl(PipelinedConn);
+
+/// The administrative client under its historical name.
+pub type CtlClient = PipelinedCtl;
 
 impl PipelinedCtl {
     pub fn connect(path: &Path) -> ClientResult<Self> {
@@ -698,13 +413,20 @@ impl PipelinedCtl {
         expect_task_id(self.call(&CtlRequest::SubmitTask { job_id, spec }, payload)?)
     }
 
-    /// Blocking `WaitTask`, same semantics as [`CtlClient::wait`].
+    /// Block until the task is terminal or the timeout expires.
+    /// `timeout_usec == 0` means wait forever; an expired nonzero
+    /// timeout returns the task's in-flight snapshot (state still
+    /// `Pending`/`InProgress`), never an error.
     pub fn wait(&mut self, task_id: u64, timeout_usec: u64) -> ClientResult<TaskStats> {
         let tag = self.issue_wait(task_id, timeout_usec)?;
         expect_stats(self.wait_for(tag)?)
     }
 
-    /// Blocking `WaitAny`, same semantics as [`CtlClient::wait_any`].
+    /// Block until *any* task of the set is terminal (v5 batch wait):
+    /// one round-trip returns the first completion as `(task_id,
+    /// stats)` instead of N polling loops. `timeout_usec == 0` means
+    /// wait forever; an expired nonzero timeout surfaces as a
+    /// [`ClientError::Remote`] carrying [`ErrorCode::Timeout`].
     pub fn wait_any(
         &mut self,
         task_ids: &[u64],
@@ -745,11 +467,15 @@ impl AsRawFd for PipelinedCtl {
     }
 }
 
-/// The application (`norns`) client with request pipelining.
+/// The application (`norns`) client. Requests carry this client's
+/// pid, and the daemon scopes every task operation to it.
 pub struct PipelinedUser {
     conn: PipelinedConn,
     pid: u64,
 }
+
+/// The application client under its historical name.
+pub type UserClient = PipelinedUser;
 
 impl PipelinedUser {
     pub fn connect(path: &Path) -> ClientResult<Self> {
@@ -835,16 +561,61 @@ impl PipelinedUser {
         self.conn.wait_for(tag)
     }
 
-    /// Blocking submit, same semantics as [`UserClient::submit`].
+    /// `norns_get_dataspace_info`.
+    pub fn dataspaces(&mut self) -> ClientResult<Vec<DataspaceDesc>> {
+        let tag = self
+            .conn
+            .issue(UserRequest::GetDataspaceInfo.to_bytes(), None)?;
+        match self.wait_for(tag)? {
+            Response::Dataspaces(d) => Ok(d),
+            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
+            other => Err(ClientError::Protocol(format!(
+                "unexpected response: {other:?}"
+            ))),
+        }
+    }
+
+    /// `norns_submit` (Listing 2).
     pub fn submit(&mut self, spec: TaskSpec, payload: Option<&[u8]>) -> ClientResult<u64> {
         let tag = self.issue_submit(spec, payload)?;
         expect_task_id(self.wait_for(tag)?)
     }
 
-    /// Blocking wait, same semantics as [`UserClient::wait`].
+    /// `norns_wait`. Scoped to this client's pid: waiting on another
+    /// submitter's task yields `PermissionDenied` (v4).
+    /// `timeout_usec == 0` means wait forever; an expired nonzero
+    /// timeout returns the in-flight snapshot, never an error.
     pub fn wait(&mut self, task_id: u64, timeout_usec: u64) -> ClientResult<TaskStats> {
         let tag = self.issue_wait(task_id, timeout_usec)?;
         expect_stats(self.wait_for(tag)?)
+    }
+
+    /// Block until any task of the set is terminal (v5 batch wait);
+    /// every id must be one of this client's own submissions.
+    /// `timeout_usec == 0` means wait forever; an expired nonzero
+    /// timeout surfaces as a [`ClientError::Remote`] carrying
+    /// [`ErrorCode::Timeout`].
+    pub fn wait_any(
+        &mut self,
+        task_ids: &[u64],
+        timeout_usec: u64,
+    ) -> ClientResult<(u64, TaskStats)> {
+        let tag = self.issue_wait_any(task_ids, timeout_usec)?;
+        expect_completion(self.wait_for(tag)?)
+    }
+
+    /// `norns_error` (status/stats query). Scoped to this client's pid
+    /// like [`PipelinedUser::wait`].
+    pub fn query(&mut self, task_id: u64) -> ClientResult<TaskStats> {
+        let tag = self.issue_query(task_id)?;
+        expect_stats(self.wait_for(tag)?)
+    }
+
+    /// Cancel a still-pending task. Only tasks submitted by this
+    /// client's pid can be cancelled through the user API.
+    pub fn cancel(&mut self, task_id: u64) -> ClientResult<()> {
+        let tag = self.issue_cancel(task_id)?;
+        expect_ok(self.wait_for(tag)?)
     }
 }
 

@@ -17,9 +17,9 @@
 //! pinning a thread for the duration of the wait.
 //!
 //! Backpressure is explicit at both ends: a connection whose outbound
-//! buffer exceeds [`OUTBOUND_PAUSE_THRESHOLD`] stops being *read*
+//! buffer exceeds `OUTBOUND_PAUSE_THRESHOLD` (4 MiB) stops being *read*
 //! (requests queue in the kernel until the client drains responses),
-//! and a connection with [`MAX_PARKED_WAITS`] waits in flight gets
+//! and a connection with `MAX_PARKED_WAITS` (1024) waits in flight gets
 //! `ErrorCode::Busy` for further waits instead of unbounded engine
 //! subscriptions.
 //!
@@ -455,6 +455,13 @@ impl Shared {
                 // norns-lint: allow(lock-across-blocking): shutdown join is intentionally serialised under `shutdown_done`
                 let _ = handle.join();
             }
+        }
+        // A connection accepted but never drained by its target
+        // reactor would stay open in that mailbox for as long as the
+        // daemon lives, and its client would block forever on a
+        // socket nobody serves. Drop them: the client sees EOF.
+        for reactor in &self.reactors {
+            reactor.incoming.lock().clear();
         }
         // Reactor 0 (the only accept path) is joined: no further
         // data-plane connections can appear, so one pass drains all.

@@ -13,11 +13,17 @@
 //!   [`norns_sched::Scheduler`] behind a mutex+condvar; the pending
 //!   set is **bounded** (submissions past the capacity are rejected
 //!   with [`ErrorCode::Busy`], EAGAIN-style). Task state lives in a
-//!   sharded table ([`shard`]): N id-keyed shards with per-shard
-//!   condvars, so a completion wakes only the waiters parked on its
-//!   shard, and user-socket admission checks go through an O(1)
-//!   `pid → job` reverse index instead of a scan over all jobs.
-//! * Data plane — [`transfer`]: transfers larger than the configured
+//!   sharded table (`shard`): N id-keyed shards, each behind its own
+//!   mutex, so submits, queries and completions on different tasks
+//!   spread over N locks. User-socket admission checks go through an
+//!   O(1) `pid → job` reverse index instead of a scan over all jobs.
+//! * Waits — `wait`: one mechanism for every `WaitTask`/`WaitAny`, a
+//!   registry of one-shot callbacks fired by the task's terminal
+//!   transition or by a deadline timer thread. The daemon parks wire
+//!   waits there without pinning a thread; the blocking
+//!   [`Engine::wait`] / [`Engine::wait_any`] block on a channel fed by
+//!   the same callback.
+//! * Data plane — `transfer`: transfers larger than the configured
 //!   chunk size are decomposed into chunk *sub-units* fed back through
 //!   the scheduler, so several workers cooperate on one file (and,
 //!   under fair-share, a huge file cannot monopolize the pool); byte
@@ -25,7 +31,7 @@
 //!   fallback; `Move` degrades to `rename()` when source and
 //!   destination share a filesystem; and a per-task atomic advances
 //!   `bytes_moved` live, making `query()` a real progress API.
-//! * Remote staging — [`remote`]: tasks whose input or output is a
+//! * Remote staging — `remote`: tasks whose input or output is a
 //!   [`ResourceDesc::RemotePath`] route through the peer registry
 //!   (`RemotePath.host` → data-plane TCP address) and stream file
 //!   ranges to or from the peer daemon, reusing the same chunk
@@ -34,9 +40,9 @@
 mod remote;
 mod shard;
 mod transfer;
+mod wait;
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -61,6 +67,8 @@ pub use transfer::{DEFAULT_CHUNK_SIZE, MIN_CHUNK_SIZE};
 use remote::RemoteTransfer;
 use shard::{ShardedTaskTable, TaskEntry};
 use transfer::{copy_tree, map_io, ChunkedCopy, PlanOutcome, TransferPlan};
+pub use wait::{WaitCallback, WaitResult};
+use wait::{WaitSubs, WaitTimer};
 
 /// Default bound on the pending task set.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
@@ -145,7 +153,7 @@ pub struct EngineConfig {
     pub shards: usize,
     /// Range requests each worker keeps in flight per data-plane
     /// connection during remote staging; `1` is stop-and-wait, clamped
-    /// to `1..=`[`MAX_REMOTE_WINDOW`](crate::MAX_REMOTE_WINDOW).
+    /// to `1..=`[`MAX_REMOTE_WINDOW`].
     pub remote_window: usize,
     /// Peers a [`Durability::Synchronous`] stage-out replicates to
     /// before it ACKs (clamped to at least 1; capped by the number of
@@ -210,48 +218,6 @@ enum Outcome {
     /// Decomposed into a chunked or remote transfer; sub-units must be
     /// enqueued.
     Chunked(Arc<dyn TransferPlan>),
-}
-
-/// Callback behind an asynchronously-parked wait
-/// ([`Engine::wait_task_async`] / [`Engine::wait_any_async`]): invoked
-/// exactly once — from the worker thread that drives the terminal
-/// transition, from the timer thread on timeout, or inline from the
-/// subscribing thread when the wait can resolve immediately. Callbacks
-/// must be quick and non-blocking (the reactor's pushes a completion
-/// into a queue and wakes an epoll loop).
-pub type WaitCallback = Box<dyn FnOnce(Result<(u64, TaskStats), (ErrorCode, String)>) + Send>;
-
-/// Timeout semantics differ between the two wait ops (mirroring the
-/// blocking API): an expired `WaitTask` returns the in-flight snapshot,
-/// an expired `WaitAny` is [`ErrorCode::Timeout`].
-enum WaitKind {
-    Single,
-    Any,
-}
-
-/// One parked asynchronous wait.
-struct WaitSub {
-    kind: WaitKind,
-    task_ids: Vec<u64>,
-    callback: WaitCallback,
-}
-
-/// Registry of parked waits. `by_task` is the inverted index a
-/// terminal transition consults; removal from `subs` under the lock is
-/// what guarantees each callback fires exactly once even when a
-/// completion, a timeout and an unsubscribe race.
-#[derive(Default)]
-struct WaitSubs {
-    next_id: u64,
-    subs: HashMap<u64, WaitSub>,
-    by_task: HashMap<u64, Vec<u64>>,
-}
-
-/// Deadline heap behind the lazily-spawned wait-timer thread.
-#[derive(Default)]
-struct WaitTimer {
-    heap: BinaryHeap<Reverse<(Instant, u64)>>,
-    stop: bool,
 }
 
 /// Replication a qualifying stage-out asked for at submission,
@@ -499,28 +465,7 @@ impl Engine {
         for handle in handles {
             let _ = handle.join();
         }
-        // Stop the wait-timer thread, then fail any wait subscription
-        // still parked: every task is terminal after the joins above,
-        // so leftovers are registration races — they must not dangle
-        // past shutdown.
-        let timer = {
-            let mut tm = self.wait_timer.lock();
-            tm.stop = true;
-            tm.heap.clear();
-            self.wait_timer_thread.lock().take()
-        };
-        self.wait_timer_cv.notify_all();
-        if let Some(handle) = timer {
-            let _ = handle.join();
-        }
-        let leftovers: Vec<WaitSub> = {
-            let mut ws = self.wait_subs.lock();
-            ws.by_task.clear();
-            ws.subs.drain().map(|(_, sub)| sub).collect()
-        };
-        for sub in leftovers {
-            (sub.callback)(Err((ErrorCode::SystemError, "daemon shutting down".into())));
-        }
+        self.stop_waits();
     }
 
     pub fn set_accepting(&self, on: bool) {
@@ -555,13 +500,6 @@ impl Engine {
             self.pending_replicas.load(Ordering::SeqCst),
             self.pending_replica_bytes.load(Ordering::SeqCst),
         )
-    }
-
-    /// Whether the lazily-spawned wait-timer thread slot is occupied
-    /// (observability for shutdown-race tests: after `shutdown` the
-    /// slot must stay empty forever).
-    pub fn wait_timer_alive(&self) -> bool {
-        self.wait_timer_thread.lock().is_some()
     }
 
     /// Record a listener `accept(2)` failure (EMFILE and friends) —
@@ -1192,13 +1130,13 @@ impl Engine {
         }
     }
 
-    /// Transition a pending task to `Cancelled` and wake its shard.
-    /// Counters move inside the shard-locked closure, before the wake:
-    /// anyone whom the wake unblocks must already see them updated.
+    /// Transition a pending task to `Cancelled` and fire its waiters.
+    /// Counters move inside the shard-locked closure, before the
+    /// waiters fire: anyone they wake must already see them updated.
     fn mark_cancelled(&self, task_id: u64) {
         let stats = self
             .tasks
-            .update_and_wake(task_id, |t| {
+            .update(task_id, |t| {
                 if t.stats.state == TaskState::Pending {
                     t.stats.state = TaskState::Cancelled;
                     t.stats.wait_usec = t.submitted_at.elapsed().as_micros() as u64;
@@ -1377,10 +1315,10 @@ impl Engine {
         self.finish_task(task_id, outcome, elapsed_usec);
     }
 
-    /// Move a task to its terminal state, fix up counters and wake the
-    /// task's shard.
+    /// Move a task to its terminal state, fix up counters and fire the
+    /// task's waiters.
     fn finish_task(&self, task_id: u64, outcome: PlanOutcome, elapsed_usec: u64) {
-        let stats = self.tasks.update_and_wake(task_id, |t| {
+        let stats = self.tasks.update(task_id, |t| {
             let mut cancelled = false;
             match outcome {
                 PlanOutcome::Done(moved) => {
@@ -1403,8 +1341,8 @@ impl Engine {
             }
             t.stats.elapsed_usec = elapsed_usec;
             // Counters inside the shard-locked closure, before the
-            // wake: a waiter unblocked by this completion must already
-            // see them updated.
+            // waiters fire: a waiter woken by this completion must
+            // already see them updated.
             self.running_count.fetch_sub(1, Ordering::SeqCst);
             // Internal replica tasks never count against the
             // user-facing totals: `completed + cancelled` accounts
@@ -1850,362 +1788,6 @@ impl Engine {
         self.check_owner(task_id, requester)?;
         self.query(task_id)
             .ok_or((ErrorCode::NotFound, format!("task {task_id}")))
-    }
-
-    /// Block until the task reaches a terminal state or the timeout
-    /// expires (`timeout_usec == 0` → wait forever). Parks on the
-    /// task's shard, so completions elsewhere never wake this caller.
-    pub fn wait(&self, task_id: u64, timeout_usec: u64) -> Option<TaskStats> {
-        let deadline = if timeout_usec == 0 {
-            None
-        } else {
-            Some(Instant::now() + std::time::Duration::from_micros(timeout_usec))
-        };
-        self.tasks.wait(task_id, deadline)
-    }
-
-    /// `wait` with the user-socket ownership rule applied (see
-    /// [`Engine::query_scoped`]).
-    pub fn wait_scoped(
-        &self,
-        task_id: u64,
-        timeout_usec: u64,
-        requester: Option<u64>,
-    ) -> Result<TaskStats, (ErrorCode, String)> {
-        self.check_owner(task_id, requester)?;
-        self.wait(task_id, timeout_usec)
-            .ok_or((ErrorCode::NotFound, format!("task {task_id}")))
-    }
-
-    /// Block until *any* task of the set reaches a terminal state —
-    /// the wire's v5 `WaitAny` batch-wait op. Returns the first
-    /// completion as `(task_id, stats)`; when several tasks are
-    /// already terminal, the earliest in `task_ids` wins.
-    ///
-    /// One parked wait covers the whole set regardless of how many
-    /// task-table shards it spans, so an orchestrator watching N
-    /// staging tasks costs one blocked call, not N pollers.
-    /// `timeout_usec == 0` means wait forever; a nonzero timeout that
-    /// expires yields [`ErrorCode::Timeout`]. An unknown id (or one
-    /// collected by `clear_completions` mid-wait) yields
-    /// [`ErrorCode::NotFound`]; an empty set is [`ErrorCode::BadArgs`].
-    pub fn wait_any(
-        &self,
-        task_ids: &[u64],
-        timeout_usec: u64,
-    ) -> Result<(u64, TaskStats), (ErrorCode, String)> {
-        self.wait_any_scoped(task_ids, timeout_usec, None)
-    }
-
-    /// [`Engine::wait_any`] with the user-socket ownership rule
-    /// applied: every id in the set must belong to `requester`.
-    pub fn wait_any_scoped(
-        &self,
-        task_ids: &[u64],
-        timeout_usec: u64,
-        requester: Option<u64>,
-    ) -> Result<(u64, TaskStats), (ErrorCode, String)> {
-        if task_ids.is_empty() {
-            return Err((ErrorCode::BadArgs, "empty wait set".into()));
-        }
-        if task_ids.len() > norns_proto::MAX_WAIT_SET {
-            return Err((
-                ErrorCode::BadArgs,
-                format!(
-                    "wait set of {} exceeds the {}-id cap",
-                    task_ids.len(),
-                    norns_proto::MAX_WAIT_SET
-                ),
-            ));
-        }
-        for &id in task_ids {
-            self.check_owner(id, requester)?;
-        }
-        let deadline = if timeout_usec == 0 {
-            None
-        } else {
-            Some(Instant::now() + std::time::Duration::from_micros(timeout_usec))
-        };
-        match self.tasks.wait_any(task_ids, deadline) {
-            shard::MultiWait::Done(id, stats) => Ok((id, stats)),
-            shard::MultiWait::Gone(id) => Err((ErrorCode::NotFound, format!("task {id}"))),
-            shard::MultiWait::TimedOut => Err((
-                ErrorCode::Timeout,
-                format!("no task of {} completed in time", task_ids.len()),
-            )),
-        }
-    }
-
-    // ---- asynchronous waits (v7 pipelined control plane) ----
-    //
-    // The reactor daemon must not pin a thread per parked `WaitTask` /
-    // `WaitAny`: these register a one-shot callback instead. Every
-    // terminal transition funnels through `complete_task` or
-    // `mark_cancelled`, which notify the inverted `by_task` index; a
-    // nonzero timeout arms a deadline on a single lazily-spawned timer
-    // thread. Semantics mirror the blocking API exactly: an expired
-    // `WaitTask` delivers the in-flight snapshot, an expired `WaitAny`
-    // delivers `ErrorCode::Timeout`, `timeout_usec == 0` parks forever.
-
-    /// Asynchronous [`Engine::wait_scoped`]. Returns the subscription
-    /// id when the wait parked (cancel it with
-    /// [`Engine::unsubscribe_wait`] if the connection dies first), or
-    /// `None` when the callback already fired — inline for validation
-    /// failures and already-terminal tasks, or from a racing
-    /// completion. Either way the callback is invoked exactly once.
-    pub fn wait_task_async(
-        self: &Arc<Self>,
-        task_id: u64,
-        timeout_usec: u64,
-        requester: Option<u64>,
-        callback: WaitCallback,
-    ) -> Option<u64> {
-        if let Err(e) = self.check_owner(task_id, requester) {
-            callback(Err(e));
-            return None;
-        }
-        self.subscribe_wait(WaitKind::Single, vec![task_id], timeout_usec, callback)
-    }
-
-    /// Asynchronous [`Engine::wait_any_scoped`] (see
-    /// [`Engine::wait_task_async`] for the callback contract).
-    pub fn wait_any_async(
-        self: &Arc<Self>,
-        task_ids: &[u64],
-        timeout_usec: u64,
-        requester: Option<u64>,
-        callback: WaitCallback,
-    ) -> Option<u64> {
-        if task_ids.is_empty() {
-            callback(Err((ErrorCode::BadArgs, "empty wait set".into())));
-            return None;
-        }
-        if task_ids.len() > norns_proto::MAX_WAIT_SET {
-            callback(Err((
-                ErrorCode::BadArgs,
-                format!(
-                    "wait set of {} exceeds the {}-id cap",
-                    task_ids.len(),
-                    norns_proto::MAX_WAIT_SET
-                ),
-            )));
-            return None;
-        }
-        for &id in task_ids {
-            if let Err(e) = self.check_owner(id, requester) {
-                callback(Err(e));
-                return None;
-            }
-        }
-        self.subscribe_wait(WaitKind::Any, task_ids.to_vec(), timeout_usec, callback)
-    }
-
-    /// Drop a parked wait whose subscriber went away (connection
-    /// closed). Returns whether the subscription was still live; its
-    /// callback is dropped unfired.
-    pub fn unsubscribe_wait(&self, sub_id: u64) -> bool {
-        self.take_sub(sub_id).is_some()
-    }
-
-    /// Parked waits currently registered (observability for tests).
-    pub fn parked_waits(&self) -> usize {
-        self.wait_subs.lock().subs.len()
-    }
-
-    fn subscribe_wait(
-        self: &Arc<Self>,
-        kind: WaitKind,
-        task_ids: Vec<u64>,
-        timeout_usec: u64,
-        callback: WaitCallback,
-    ) -> Option<u64> {
-        let sub_id = {
-            let mut ws = self.wait_subs.lock();
-            ws.next_id += 1;
-            let sub_id = ws.next_id;
-            for &t in &task_ids {
-                ws.by_task.entry(t).or_default().push(sub_id);
-            }
-            ws.subs.insert(
-                sub_id,
-                WaitSub {
-                    kind,
-                    task_ids: task_ids.clone(),
-                    callback,
-                },
-            );
-            sub_id
-        };
-        // Subscribe *then* scan: a completion racing this registration
-        // either sees the sub in `by_task` (and fires it) or we see
-        // the terminal state here — a lost wakeup is impossible, and
-        // remove-under-lock in `take_sub` picks the single firing
-        // side. Scanning in set order preserves the blocking
-        // `wait_any` tie-break (earliest listed terminal task wins).
-        for &t in &task_ids {
-            match self.tasks.snapshot(t) {
-                Some(stats) if stats.state.is_terminal() => {
-                    if let Some(sub) = self.take_sub(sub_id) {
-                        (sub.callback)(Ok((t, stats)));
-                    }
-                    return None;
-                }
-                Some(_) => {}
-                None => {
-                    if let Some(sub) = self.take_sub(sub_id) {
-                        (sub.callback)(Err((ErrorCode::NotFound, format!("task {t}"))));
-                    }
-                    return None;
-                }
-            }
-        }
-        if timeout_usec > 0 {
-            self.arm_wait_deadline(
-                sub_id,
-                Instant::now() + std::time::Duration::from_micros(timeout_usec),
-            );
-        }
-        Some(sub_id)
-    }
-
-    /// Remove a subscription and its index entries; whoever gets the
-    /// `WaitSub` back owns the one permitted callback invocation.
-    fn take_sub(&self, sub_id: u64) -> Option<WaitSub> {
-        let mut ws = self.wait_subs.lock();
-        let sub = ws.subs.remove(&sub_id)?;
-        for t in &sub.task_ids {
-            if let Some(v) = ws.by_task.get_mut(t) {
-                v.retain(|s| *s != sub_id);
-                if v.is_empty() {
-                    ws.by_task.remove(t);
-                }
-            }
-        }
-        Some(sub)
-    }
-
-    /// Fire every subscription watching `task_id`. Called after a
-    /// terminal transition is visible in the task table; callbacks run
-    /// outside the registry lock.
-    fn notify_task_waiters(&self, task_id: u64, stats: &TaskStats) {
-        let callbacks: Vec<WaitCallback> = {
-            let mut ws = self.wait_subs.lock();
-            let Some(sub_ids) = ws.by_task.remove(&task_id) else {
-                return;
-            };
-            let mut cbs = Vec::with_capacity(sub_ids.len());
-            for sid in sub_ids {
-                if let Some(sub) = ws.subs.remove(&sid) {
-                    for t in &sub.task_ids {
-                        if *t != task_id {
-                            if let Some(v) = ws.by_task.get_mut(t) {
-                                v.retain(|s| *s != sid);
-                                if v.is_empty() {
-                                    ws.by_task.remove(t);
-                                }
-                            }
-                        }
-                    }
-                    cbs.push(sub.callback);
-                }
-            }
-            cbs
-        };
-        for cb in callbacks {
-            cb(Ok((task_id, stats.clone())));
-        }
-    }
-
-    fn arm_wait_deadline(self: &Arc<Self>, sub_id: u64, deadline: Instant) {
-        {
-            let mut tm = self.wait_timer.lock();
-            if tm.stop {
-                // Engine already shut down: resolve as an immediate
-                // timeout rather than leaving the sub to dangle.
-                drop(tm);
-                self.fire_wait_timeout(sub_id);
-                return;
-            }
-            tm.heap.push(Reverse((deadline, sub_id)));
-            // The lazy spawn must stay under the `wait_timer` lock —
-            // the same lock `shutdown` holds (nested outside
-            // `wait_timer_thread`, matching its order) while it sets
-            // `stop` and takes the handle. Checking the slot after
-            // releasing `tm` races shutdown: it can join the old
-            // thread between our release and our slot check, and the
-            // respawn here would occupy the slot past shutdown.
-            let mut slot = self.wait_timer_thread.lock();
-            if slot.is_none() {
-                let eng = Arc::clone(self);
-                let spawned = std::thread::Builder::new()
-                    .name("urd-wait-timer".into())
-                    .spawn(move || eng.wait_timer_loop());
-                match spawned {
-                    Ok(handle) => *slot = Some(handle),
-                    Err(e) => {
-                        // Out of threads: no timer can ever fire, so
-                        // resolve this wait as an immediate timeout
-                        // instead of parking it forever. The heap
-                        // entry we just pushed goes stale, which
-                        // `fire_wait_timeout` tolerates.
-                        eprintln!("urd: cannot spawn wait-timer thread: {e}; failing wait fast");
-                        drop(slot);
-                        drop(tm);
-                        self.fire_wait_timeout(sub_id);
-                        return;
-                    }
-                }
-            }
-        }
-        self.wait_timer_cv.notify_one();
-    }
-
-    fn wait_timer_loop(self: &Arc<Self>) {
-        let mut tm = self.wait_timer.lock();
-        loop {
-            if tm.stop {
-                return;
-            }
-            match tm.heap.peek().copied() {
-                None => self.wait_timer_cv.wait(&mut tm),
-                Some(Reverse((deadline, sub_id))) if deadline <= Instant::now() => {
-                    tm.heap.pop();
-                    drop(tm);
-                    self.fire_wait_timeout(sub_id);
-                    tm = self.wait_timer.lock();
-                }
-                Some(Reverse((deadline, _))) => {
-                    let _ = self.wait_timer_cv.wait_until(&mut tm, deadline);
-                }
-            }
-        }
-    }
-
-    /// Resolve a deadline. A stale heap entry (sub already fired or
-    /// unsubscribed) is a no-op — `take_sub` decides.
-    fn fire_wait_timeout(&self, sub_id: u64) {
-        let Some(sub) = self.take_sub(sub_id) else {
-            return;
-        };
-        let result = match sub.kind {
-            // Blocking `WaitTask` returns the in-flight snapshot on an
-            // expired timeout; mirror that.
-            WaitKind::Single => match sub.task_ids.first() {
-                Some(&id) => match self.tasks.snapshot(id) {
-                    Some(stats) => Ok((id, stats)),
-                    None => Err((ErrorCode::NotFound, format!("task {id}"))),
-                },
-                None => Err((
-                    ErrorCode::BadArgs,
-                    "wait subscription with no task id".to_string(),
-                )),
-            },
-            WaitKind::Any => Err((
-                ErrorCode::Timeout,
-                format!("no task of {} completed in time", sub.task_ids.len()),
-            )),
-        };
-        (sub.callback)(result);
     }
 
     pub fn clear_completions(&self) {
@@ -2801,13 +2383,136 @@ mod tests {
             Err((ErrorCode::NotFound, _))
         ));
         assert!(matches!(
-            engine.wait_any_scoped(&[a, b], 0, Some(8)),
+            wait_any_as(&engine, &[a, b], 8),
             Err((ErrorCode::PermissionDenied, _))
         ));
         // Every id owned by the requester: the scoped wait succeeds.
-        let (done, _) = engine.wait_any_scoped(&[b, a], 0, Some(7)).unwrap();
+        let (done, _) = wait_any_as(&engine, &[b, a], 7).unwrap();
         assert_eq!(done, b, "earliest listed terminal wins");
         engine.shutdown();
+    }
+
+    /// `wait_any_async` on behalf of `requester`, blocking on the
+    /// callback's result.
+    fn wait_any_as(engine: &Arc<Engine>, ids: &[u64], requester: u64) -> WaitResult {
+        let (callback, done) = wait::oneshot();
+        engine.wait_any_async(ids, 0, Some(requester), callback);
+        done.recv().unwrap()
+    }
+
+    /// Ids of tasks no worker owns (far above any real task id).
+    const FAKE_BASE: u64 = 1 << 40;
+
+    /// Park a `Pending` task that no worker will ever run, so the test
+    /// drives its terminal transition itself through `mark_cancelled`
+    /// (the cancel path's funnel). Consecutive `k` land on different
+    /// shards.
+    fn park_pending(engine: &Engine, k: u64) -> u64 {
+        let id = FAKE_BASE + k;
+        engine.tasks.insert(
+            id,
+            TaskEntry {
+                stats: TaskStats {
+                    state: TaskState::Pending,
+                    error: ErrorCode::Success,
+                    bytes_total: 0,
+                    bytes_moved: 0,
+                    wait_usec: 0,
+                    elapsed_usec: 0,
+                },
+                submitted_at: Instant::now(),
+                owner: 1,
+                progress: Arc::new(AtomicU64::new(0)),
+                error_message: None,
+                abort: Arc::new(AtomicBool::new(false)),
+                abortable: false,
+            },
+        );
+        engine.pending_count.fetch_add(1, Ordering::SeqCst);
+        id
+    }
+
+    fn wait_until_parked(engine: &Engine, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while engine.parked_waits() < n {
+            assert!(Instant::now() < deadline, "wait never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn blocking_wait_any_wakes_on_completion_on_another_shard() {
+        let engine = Engine::new(1);
+        assert!(engine.task_table_shards() >= 4);
+        let ids: Vec<u64> = (0..4).map(|k| park_pending(&engine, k)).collect();
+        let eng = Arc::clone(&engine);
+        let set = ids.clone();
+        let waiter = std::thread::spawn(move || eng.wait_any(&set, 0));
+        wait_until_parked(&engine, 1);
+        engine.mark_cancelled(ids[2]);
+        let (done, stats) = waiter.join().unwrap().unwrap();
+        assert_eq!(done, ids[2]);
+        assert_eq!(stats.state, TaskState::Cancelled);
+        assert_eq!(engine.parked_waits(), 0);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn blocking_wait_any_prefers_earliest_listed_terminal() {
+        let engine = Engine::new(1);
+        let [a, b, c] = [0, 1, 2].map(|k| park_pending(&engine, k));
+        engine.mark_cancelled(b);
+        engine.mark_cancelled(c);
+        assert_eq!(engine.wait_any(&[a, c, b], 0).unwrap().0, c);
+        assert_eq!(engine.wait_any(&[a, b, c], 0).unwrap().0, b);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn blocking_wait_any_times_out_and_reports_unknown_ids() {
+        let engine = Engine::new(1);
+        let a = park_pending(&engine, 0);
+        assert!(matches!(
+            engine.wait_any(&[a], 10_000),
+            Err((ErrorCode::Timeout, _))
+        ));
+        assert!(matches!(
+            engine.wait_any(&[a, FAKE_BASE + 99], 0),
+            Err((ErrorCode::NotFound, _))
+        ));
+        assert_eq!(engine.parked_waits(), 0);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn timed_out_blocking_wait_leaves_no_subscription() {
+        let engine = Engine::new(1);
+        let a = park_pending(&engine, 0);
+        let stats = engine.wait(a, 10_000).unwrap();
+        assert_eq!(stats.state, TaskState::Pending, "in-flight snapshot");
+        assert_eq!(engine.parked_waits(), 0);
+        engine.shutdown();
+    }
+
+    /// Nothing ever finishes a parked fake task, so only shutdown's
+    /// sweep of leftover subscriptions can answer these waits.
+    #[test]
+    fn blocking_waits_return_when_shutdown_fails_their_subscriptions() {
+        let engine = Engine::new(1);
+        let a = park_pending(&engine, 0);
+        let eng = Arc::clone(&engine);
+        let single = std::thread::spawn(move || eng.wait(a, 0));
+        let eng = Arc::clone(&engine);
+        let any = std::thread::spawn(move || eng.wait_any(&[a], 0));
+        wait_until_parked(&engine, 2);
+        engine.shutdown();
+        let stats = single.join().unwrap().expect("task still in the table");
+        assert_eq!(stats.state, TaskState::Pending);
+        assert!(matches!(
+            any.join().unwrap(),
+            Err((ErrorCode::SystemError, _))
+        ));
+        assert_eq!(engine.parked_waits(), 0);
     }
 
     #[test]

@@ -14,18 +14,20 @@
 //! * [`engine::Engine`] — registries (dataspaces, jobs, peers),
 //!   validation, a bounded dispatch queue arbitrated through the
 //!   shared `norns-sched` policies, a joined worker pool, a sharded
-//!   task table with per-shard condvar `wait` plus an async wait
-//!   subscription registry, a chunked zero-copy local data plane and a
-//!   remote-staging backend, both with live progress and mid-stream
-//!   cancel.
+//!   task table, one wait path (a subscription registry that parks
+//!   each wait as a one-shot callback; the blocking `wait` is a
+//!   subscription plus a channel), a chunked zero-copy local data
+//!   plane and a remote-staging backend, both with live progress and
+//!   mid-stream cancel.
 //! * [`daemon::UrdDaemon`] — socket + data-plane lifecycle and request
 //!   dispatch through a fixed pool of epoll reactor threads; shutdown
 //!   joins every reactor and data-plane thread.
-//! * [`client::CtlClient`] / [`client::UserClient`] — blocking client
-//!   libraries mirroring `nornsctl` / `norns`; and their wire-v7
-//!   pipelined counterparts [`client::PipelinedCtl`] /
-//!   [`client::PipelinedUser`], which keep many tagged requests
-//!   outstanding per connection.
+//! * [`client::PipelinedCtl`] / [`client::PipelinedUser`] — the client
+//!   libraries mirroring `nornsctl` / `norns` (also exported under
+//!   their historical names `CtlClient` / `UserClient`). Every call
+//!   is a wire-v7 tagged request: blocking methods issue and wait for
+//!   their own tag, and `issue_*` keeps many requests outstanding per
+//!   connection.
 
 pub mod client;
 pub mod daemon;

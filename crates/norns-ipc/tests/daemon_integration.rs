@@ -769,6 +769,34 @@ fn shutdown_joins_reader_threads_despite_idle_clients() {
     assert!(idle.ping().is_err(), "connections are closed at shutdown");
 }
 
+/// Regression: a connection the accept path had handed to a reactor
+/// that exited before draining its mailbox stayed open after shutdown,
+/// and its client blocked forever on a read nobody would answer.
+/// Connect a burst right before shutdown so some land in that window;
+/// every one must then read EOF (or a reset), not time out.
+#[test]
+fn shutdown_closes_connections_accepted_but_never_served() {
+    use std::io::Read;
+    use std::os::unix::net::UnixStream;
+    for round in 0..20 {
+        let (daemon, root) = start("undrained");
+        let clients: Vec<UnixStream> = (0..32)
+            .map(|_| UnixStream::connect(&daemon.control_path).unwrap())
+            .collect();
+        daemon.shutdown();
+        for mut c in clients {
+            c.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                .unwrap();
+            match c.read(&mut [0u8; 1]) {
+                Ok(0) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+                other => panic!("round {round}: connection open after shutdown: {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
 /// User-socket wait/query are scoped to the submitter, exactly like
 /// cancel: one job cannot observe another's transfers.
 #[test]

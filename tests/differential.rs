@@ -9,12 +9,17 @@
 //! Ordering is observed without races: the real engine runs **one**
 //! worker pinned by a plug task while the whole set is submitted, so
 //! every arbitration decision sees the full pending set, exactly like
-//! the sim-side dispatch loop. Dispatch order is then recovered from
-//! `wait_usec` (submission → first worker touch): with one worker,
-//! consecutive dispatches are separated by a whole multi-MiB copy,
-//! orders of magnitude above the submission loop's skew.
+//! the sim-side dispatch loop. The set is submitted only once the
+//! worker holds the plug, and the plug pulls from a peer that never
+//! answers, so it cannot finish before the last submission however
+//! fast the copy path is; closing that peer's listener releases it.
+//! Dispatch order is then recovered from `wait_usec` (submission →
+//! first worker touch): with one worker, consecutive dispatches are
+//! separated by a whole multi-MiB copy, orders of magnitude above the
+//! submission loop's skew.
 
 use std::fs;
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -40,7 +45,8 @@ const WORKLOAD: [(u64, u64); 8] = [
 
 /// The plug occupying the real engine's single worker while the set is
 /// submitted; mirrored in the sim so policies with history (fair
-/// share) see identical service sequences.
+/// share) see identical service sequences. `PLUG_BYTES` is the sim
+/// plug's size; fair share ranks by service recency, not bytes.
 const PLUG_JOB: u64 = 0;
 const PLUG_BYTES: u64 = 96 << 20;
 
@@ -91,7 +97,6 @@ fn real_order(policy: IpcPolicy, tag: &str) -> Vec<usize> {
         })
         .unwrap();
     let mount = root.join("ds");
-    fs::write(mount.join("plug.src"), vec![1u8; PLUG_BYTES as usize]).unwrap();
     for (i, (_, bytes)) in WORKLOAD.iter().enumerate() {
         fs::write(mount.join(format!("in{i}.dat")), vec![2u8; *bytes as usize]).unwrap();
     }
@@ -108,9 +113,31 @@ fn real_order(policy: IpcPolicy, tag: &str) -> Vec<usize> {
             }),
         )
     };
+    let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+    engine.register_peer("silent", silent.local_addr().unwrap().to_string());
     let plug = engine
-        .submit(PLUG_JOB, copy("plug.src", "plug.dst"), None)
+        .submit(
+            PLUG_JOB,
+            TaskSpec::new(
+                TaskOp::Copy,
+                ResourceDesc::RemotePath {
+                    host: "silent".into(),
+                    nsid: "tmp0".into(),
+                    path: "plug.src".into(),
+                },
+                Some(ResourceDesc::PosixPath {
+                    nsid: "tmp0".into(),
+                    path: "plug.dst".into(),
+                }),
+            ),
+            None,
+        )
         .unwrap();
+    // The worker must hold the plug before the rest exists, or its
+    // first pick would already arbitrate among part of the set.
+    while engine.query(plug).unwrap().state == TaskState::Pending {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     let mut ids = Vec::new();
     for (i, (job, _)) in WORKLOAD.iter().enumerate() {
         ids.push(
@@ -123,6 +150,9 @@ fn real_order(policy: IpcPolicy, tag: &str) -> Vec<usize> {
                 .unwrap(),
         );
     }
+    // Every task is pending: closing the listener resets the plug's
+    // connection, its pull fails, and arbitration begins.
+    drop(silent);
     engine.wait(plug, 0).unwrap();
     let mut touched: Vec<(u64, usize)> = Vec::new();
     for (i, id) in ids.iter().enumerate() {
