@@ -35,7 +35,7 @@
 //! world-connectable) permissions, not even transiently.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::fs::PermissionsExt;
 use std::os::unix::io::AsRawFd;
@@ -52,11 +52,11 @@ use parking_lot::Mutex;
 use polling::{Event, Interest, Poller, Waker};
 
 use norns_proto::{
-    encode_tagged, frame_header, CtlRequest, DaemonCommand, DataRequest, DataResponse, ErrorCode,
-    FrameReader, Response, UserRequest, Wire, MAX_DATA_RANGE,
+    encode_tagged, frame_header, read_frame, CtlRequest, DaemonCommand, DataRequest, DataResponse,
+    ErrorCode, FrameReader, Response, UserRequest, Wire, MAX_DATA_RANGE,
 };
 
-use crate::engine::{Engine, EngineConfig, PolicyKind, WaitCallback};
+use crate::engine::{send_file_range, Engine, EngineConfig, PolicyKind, WaitCallback};
 
 /// Reactor threads a daemon runs by default. Two lets accept/decode
 /// overlap with callback dispatch even on small machines; storms scale
@@ -1362,86 +1362,74 @@ fn handle_user_sync(engine: &Arc<Engine>, req: UserRequest, payload: Option<Vec<
     }
 }
 
-/// Buffered responses past this size are flushed mid-batch: bounds the
-/// daemon's per-connection memory against a peer pipelining many large
-/// `Fetch` requests and gets bytes moving while the remaining frames
-/// decode.
+/// Buffered replies past this size are flushed mid-batch: bounds the
+/// daemon's per-connection memory against a peer that keeps streaming
+/// small requests (so request bytes are always buffered) without
+/// reading its replies. `Fetch` payloads never enter the buffer.
 const RESPONSE_FLUSH_THRESHOLD: usize = 1 << 20;
 
-/// Framed request/response loop for the blocking data plane; the
-/// closure appends one fully framed response (header included) to the
-/// output buffer. Responses to a batch of pipelined requests are
-/// written back in as few syscalls as possible: one `write` per read
-/// batch in the common case, with a mid-batch flush only past
-/// [`RESPONSE_FLUSH_THRESHOLD`] — a peer keeping a window of requests
-/// in flight is never stalled by per-response flushes.
-fn serve_frames(
-    stream: &mut (impl Read + Write),
-    shared: &Arc<Shared>,
-    mut handle: impl FnMut(Bytes, &mut BytesMut),
-) {
-    let mut reader = FrameReader::new();
-    let mut buf = [0u8; 64 * 1024];
-    let mut out = BytesMut::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+/// The blocking request/response loop of one data-plane connection.
+/// Each request frame is read straight into its own buffer. Small
+/// replies to a window of pipelined requests are batched into as few
+/// writes as possible: pending replies go out when no further request
+/// bytes are buffered (the next read would block), or past
+/// [`RESPONSE_FLUSH_THRESHOLD`]. A `Fetch` payload is never copied:
+/// pending replies are flushed, then header and message go out and the
+/// payload follows disk→socket through [`send_file_range`]. A protocol
+/// violation, an I/O error or a source that shrank mid-send (the frame
+/// length is already committed) drops the connection, so a torn frame
+/// never reaches the peer.
+fn serve_data_connection(stream: TcpStream, shared: &Arc<Shared>) {
+    let mut reader = BufReader::new(stream);
+    let mut out = Vec::new();
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let Ok(frame) = read_frame(&mut reader) else {
             return;
-        }
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => n,
         };
-        reader.extend(&buf[..n]);
-        loop {
-            match reader.next_frame() {
-                Ok(Some(frame)) => {
-                    handle(frame, &mut out);
-                    if out.len() >= RESPONSE_FLUSH_THRESHOLD {
-                        if stream.write_all(&out).is_err() {
-                            return;
-                        }
-                        out.clear();
-                    }
+        let (response, payload) = handle_data(&shared.engine, frame);
+        let body = response.to_bytes();
+        let payload_len = payload.as_ref().map_or(0, |p| p.len);
+        out.extend_from_slice(&frame_header(body.len() + payload_len as usize));
+        out.extend_from_slice(&body);
+        match payload {
+            Some(p) => {
+                // Pending replies, header and message leave in one
+                // vectored write ahead of the payload.
+                let sent = send_file_range(reader.get_mut(), &[&out], &p.file, p.offset, p.len);
+                out.clear();
+                if sent.is_err() {
+                    return;
                 }
-                Ok(None) => break,
-                Err(_) => return, // protocol violation: drop the client
             }
-        }
-        if !out.is_empty() {
-            if stream.write_all(&out).is_err() {
-                return;
+            None if out.len() >= RESPONSE_FLUSH_THRESHOLD || reader.buffer().is_empty() => {
+                if reader.get_mut().write_all(&out).is_err() {
+                    return;
+                }
+                out.clear();
             }
-            out.clear();
+            None => {}
         }
     }
 }
 
-fn serve_data_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    // One scratch payload buffer per connection, grown to the largest
-    // `Fetch` seen and reused across requests — pipelining multiplies
-    // the request rate, and a fresh multi-megabyte allocation per
-    // range would make the allocator the bottleneck.
-    let mut scratch: Vec<u8> = Vec::new();
-    serve_frames(&mut stream, shared, move |frame, out| {
-        let (response, payload_len) = handle_data(&shared.engine, frame, &mut scratch);
-        let body = response.to_bytes();
-        out.extend_from_slice(&frame_header(body.len() + payload_len));
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&scratch[..payload_len]);
-    });
+/// The file range a `Fetch` reply carries as its payload.
+struct FileRange {
+    file: std::fs::File,
+    offset: u64,
+    len: u64,
 }
 
-fn data_err(code: ErrorCode, message: impl Into<String>) -> (DataResponse, usize) {
+fn data_err(code: ErrorCode, message: impl Into<String>) -> (DataResponse, Option<FileRange>) {
     (
         DataResponse::Error {
             code,
             message: message.into(),
         },
-        0,
+        None,
     )
 }
 
-fn map_io_data(e: std::io::Error) -> (DataResponse, usize) {
+fn map_io_data(e: std::io::Error) -> (DataResponse, Option<FileRange>) {
     let code = match e.kind() {
         std::io::ErrorKind::NotFound => ErrorCode::NotFound,
         std::io::ErrorKind::PermissionDenied => ErrorCode::PermissionDenied,
@@ -1453,11 +1441,10 @@ fn map_io_data(e: std::io::Error) -> (DataResponse, usize) {
 
 /// Serve one data-plane request from a peer daemon. Every path goes
 /// through the engine's dataspace containment checks — a remote peer
-/// gets no more filesystem reach than a local client. A `Fetch`
-/// payload is produced into `scratch` (grown but never shrunk, reused
-/// across a connection's requests); the returned count is how many of
-/// its leading bytes are the response payload.
-fn handle_data(engine: &Arc<Engine>, frame: Bytes, scratch: &mut Vec<u8>) -> (DataResponse, usize) {
+/// gets no more filesystem reach than a local client. A `Fetch` reply
+/// names the file range its payload is to be sent from, bounded by the
+/// source's size so a range past EOF yields a short (or empty) `Data`.
+fn handle_data(engine: &Arc<Engine>, frame: Bytes) -> (DataResponse, Option<FileRange>) {
     let mut b = frame;
     let req = match DataRequest::decode(&mut b) {
         Ok(r) => r,
@@ -1475,7 +1462,7 @@ fn handle_data(engine: &Arc<Engine>, frame: Bytes, scratch: &mut Vec<u8>) -> (Da
                     ErrorCode::BadArgs,
                     "directory trees cannot be staged remotely",
                 ),
-                Ok(meta) => (DataResponse::Stat { size: meta.len() }, 0),
+                Ok(meta) => (DataResponse::Stat { size: meta.len() }, None),
                 Err(e) => map_io_data(e),
             }
         }
@@ -1499,23 +1486,22 @@ fn handle_data(engine: &Arc<Engine>, frame: Bytes, scratch: &mut Vec<u8>) -> (Da
                 Ok(f) => f,
                 Err(e) => return map_io_data(e),
             };
-            let want = len as usize;
-            if scratch.len() < want {
-                // Grow-only: the zero-fill happens once per
-                // high-water mark, not per request.
-                scratch.resize(want, 0);
-            }
-            let mut filled = 0usize;
-            while filled < want {
-                use std::os::unix::fs::FileExt;
-                match file.read_at(&mut scratch[filled..want], offset + filled as u64) {
-                    Ok(0) => break, // EOF: short payload tells the peer
-                    Ok(n) => filled += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return map_io_data(e),
+            let size = match file.metadata() {
+                Ok(meta) if meta.is_dir() => {
+                    return data_err(
+                        ErrorCode::BadArgs,
+                        "directory trees cannot be staged remotely",
+                    )
                 }
+                Ok(meta) => meta.len(),
+                Err(e) => return map_io_data(e),
+            };
+            // EOF bounds the payload: a short `Data` tells the peer.
+            let len = len.min(size.saturating_sub(offset));
+            if len == 0 {
+                return (DataResponse::Data, None);
             }
-            (DataResponse::Data, filled)
+            (DataResponse::Data, Some(FileRange { file, offset, len }))
         }
         DataRequest::Prepare { nsid, path, size } => {
             let local = match engine.resolve_local(&nsid, &path) {
@@ -1528,7 +1514,7 @@ fn handle_data(engine: &Arc<Engine>, frame: Bytes, scratch: &mut Vec<u8>) -> (Da
                 }
             }
             match std::fs::File::create(&local).and_then(|f| f.set_len(size)) {
-                Ok(()) => (DataResponse::Ok, 0),
+                Ok(()) => (DataResponse::Ok, None),
                 Err(e) => map_io_data(e),
             }
         }
@@ -1546,18 +1532,17 @@ fn handle_data(engine: &Arc<Engine>, frame: Bytes, scratch: &mut Vec<u8>) -> (Da
                 Ok(p) => p,
                 Err((code, message)) => return data_err(code, message),
             };
-            let file = match std::fs::OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(&local)
-            {
+            // Only `Prepare` creates the destination: a `Store` landing
+            // after a `Discard` (a range from a dead connection racing a
+            // cancelled push's cleanup) must not resurrect a partial
+            // file under the final name.
+            let file = match std::fs::OpenOptions::new().write(true).open(&local) {
                 Ok(f) => f,
                 Err(e) => return map_io_data(e),
             };
             use std::os::unix::fs::FileExt;
             match file.write_all_at(&payload, offset) {
-                Ok(()) => (DataResponse::Ok, 0),
+                Ok(()) => (DataResponse::Ok, None),
                 Err(e) => map_io_data(e),
             }
         }
@@ -1567,8 +1552,8 @@ fn handle_data(engine: &Arc<Engine>, frame: Bytes, scratch: &mut Vec<u8>) -> (Da
                 Err((code, message)) => return data_err(code, message),
             };
             match std::fs::remove_file(&local) {
-                Ok(()) => (DataResponse::Ok, 0),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => (DataResponse::Ok, 0),
+                Ok(()) => (DataResponse::Ok, None),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => (DataResponse::Ok, None),
                 Err(e) => map_io_data(e),
             }
         }

@@ -60,6 +60,7 @@ use norns_sched::{
     ArbitrationPolicy, Fcfs, JobFairShare, PendingTask, Scheduler, ShortestFirst, WeightedPriority,
 };
 
+pub(crate) use remote::send_file_range;
 pub use remote::{DEFAULT_REMOTE_WINDOW, MAX_REMOTE_WINDOW};
 pub use shard::DEFAULT_SHARDS;
 pub use transfer::{DEFAULT_CHUNK_SIZE, MIN_CHUNK_SIZE};

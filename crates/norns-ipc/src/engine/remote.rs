@@ -31,12 +31,18 @@
 //! `cancel()` interrupts one mid-stream (in-flight responses are
 //! drained so a cached connection never desynchronizes).
 //!
-//! **Syscall fast paths.** Push payloads travel disk→socket via
-//! `sendfile(2)` where the kernel allows it (frame header and request
-//! go out in one vectored write, the payload never crosses userspace);
-//! the fallback is a `pread` into a pooled per-worker buffer followed
-//! by a single vectored write of header + request + payload — never a
-//! fresh allocation per range, never two small writes per frame.
+//! **Syscall fast paths.** No payload byte is copied in userspace on
+//! either end. Payloads leave a file through one sender,
+//! [`send_file_range`]: a pushed `Store` here and a served `Fetch` on
+//! the peer (`daemon.rs`) both travel disk→socket via `sendfile(2)`
+//! where the kernel allows it, after the frame header and message went
+//! out in one vectored write. The fallback (`sendfile` refused, or
+//! `NORNS_NO_SENDFILE=1`) is a `pread` into a pooled per-thread buffer
+//! followed by a single vectored write of header + message + payload —
+//! never a fresh allocation per range, never two small writes per
+//! frame. Both ends receive with [`norns_proto::read_frame`], which
+//! reads each frame straight into an exactly sized buffer that the
+//! decoded payload then borrows for its `pwrite`.
 //!
 //! Failure model: unknown peers are rejected at submission
 //! (`NotFound`); unreachable peers fail the task with a bounded
@@ -50,7 +56,7 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File};
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -61,7 +67,7 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use norns_proto::{
-    frame_header, DataRequest, DataResponse, ErrorCode, FrameReader, Wire, MAX_DATA_RANGE,
+    frame_header, read_frame, DataRequest, DataResponse, ErrorCode, Wire, MAX_DATA_RANGE,
 };
 
 use super::transfer::{map_io, ChunkGrid, PlanOutcome, TransferPlan};
@@ -92,9 +98,9 @@ pub const MAX_REMOTE_WINDOW: usize = 256;
 /// shatter it into requests so small that per-frame overhead dominates.
 const RANGE_STEP_FLOOR: u64 = 256 << 10;
 
-/// Per-worker pooled buffer for the push fallback path (when
-/// `sendfile` is unavailable): payloads are `pread` into this and go
-/// out in one vectored write.
+/// Per-thread pooled buffer for the [`send_file_range`] fallback path
+/// (when `sendfile` is unavailable): payloads are `pread` into this and
+/// go out in one vectored write.
 const REMOTE_POOL_BUF: usize = 1 << 20;
 
 /// Bound on this worker's connection cache. Long-lived daemons see
@@ -122,8 +128,8 @@ fn map_net(e: io::Error) -> (ErrorCode, String) {
 /// Is `sendfile(2)` still worth attempting? Cleared the first time the
 /// syscall refuses a socket/file pair (old kernels, exotic
 /// filesystems) and overridable via `NORNS_NO_SENDFILE=1` for
-/// fallback-path benchmarking; every push then takes the pooled
-/// `pread` + vectored-write path.
+/// fallback-path benchmarking; every pushed `Store` and served `Fetch`
+/// then takes the pooled `pread` + vectored-write path.
 #[cfg(target_os = "linux")]
 static SENDFILE_RUNTIME_OFF: AtomicBool = AtomicBool::new(false);
 
@@ -186,7 +192,8 @@ fn sendfile_wants_fallback(e: &io::Error) -> bool {
 }
 
 thread_local! {
-    /// Per-worker pooled payload buffer for the push fallback path.
+    /// Per-thread pooled payload buffer for the `send_file_range`
+    /// fallback path (transfer workers and data-plane serving threads).
     static RANGE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -242,13 +249,110 @@ fn write_all_vectored(stream: &mut TcpStream, parts: &[&[u8]]) -> io::Result<()>
     Ok(())
 }
 
+/// Write the `prefix` slices (frame header and message) followed by
+/// `len` bytes of `file` at `offset` — the one file-to-socket sender
+/// of the data plane, used for a pushed `Store` and a served `Fetch`
+/// alike. The payload travels disk→socket via `sendfile(2)` where
+/// available; otherwise it is `pread` into this thread's pooled buffer
+/// and written together with the prefix in one vectored write. A
+/// source that comes up short (shrank mid-send) is an error: the frame
+/// length is already committed, so the connection must be abandoned.
+pub(crate) fn send_file_range(
+    stream: &mut TcpStream,
+    prefix: &[&[u8]],
+    file: &File,
+    offset: u64,
+    len: u64,
+) -> Result<(), (ErrorCode, String)> {
+    #[cfg(target_os = "linux")]
+    if sendfile_enabled() {
+        write_all_vectored(stream, prefix).map_err(map_net)?;
+        let mut sent = 0u64;
+        while sent < len {
+            let want = (len - sent).min(1 << 30) as usize;
+            match sendfile_once(stream, file, offset + sent, want) {
+                Ok(0) => return Err(truncated(offset + sent)),
+                Ok(n) => sent += n as u64,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if sent == 0 && sendfile_wants_fallback(&e) => {
+                    // First refusal on this box: remember and take
+                    // the buffered path for the rest of the frame
+                    // (the prefix is committed, only payload remains).
+                    disable_sendfile();
+                    break;
+                }
+                Err(e) => return Err(map_net(e)),
+            }
+        }
+        if sent == len {
+            return Ok(());
+        }
+        // sendfile refused before moving anything: the stream is right
+        // after the prefix; fill the payload buffered.
+        return write_payload_buffered(stream, &[], file, offset + sent, len - sent);
+    }
+    write_payload_buffered(stream, prefix, file, offset, len)
+}
+
+fn truncated(at: u64) -> (ErrorCode, String) {
+    (
+        ErrorCode::SystemError,
+        format!("local source truncated at byte {at}"),
+    )
+}
+
+/// Buffered path of [`send_file_range`]: `pread` the payload into the
+/// pooled per-thread buffer and write `prefix` + payload in one
+/// vectored write per buffer-full.
+fn write_payload_buffered(
+    stream: &mut TcpStream,
+    prefix: &[&[u8]],
+    file: &File,
+    mut offset: u64,
+    len: u64,
+) -> Result<(), (ErrorCode, String)> {
+    RANGE_BUF.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        let want = (len.min(REMOTE_POOL_BUF as u64) as usize).max(1);
+        if buf.len() < want {
+            buf.resize(want, 0);
+        }
+        let mut remaining = len;
+        let mut first = true;
+        while remaining > 0 || first {
+            let step = remaining.min(REMOTE_POOL_BUF as u64) as usize;
+            let mut filled = 0usize;
+            while filled < step {
+                match file.read_at(&mut buf[filled..step], offset + filled as u64) {
+                    Ok(0) => return Err(truncated(offset + filled as u64)),
+                    Ok(n) => filled += n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(map_io(e)),
+                }
+            }
+            let parts: Vec<&[u8]> = if first {
+                prefix.iter().copied().chain([&buf[..step]]).collect()
+            } else {
+                vec![&buf[..step]]
+            };
+            write_all_vectored(stream, &parts).map_err(map_net)?;
+            offset += step as u64;
+            remaining -= step as u64;
+            first = false;
+        }
+        Ok(())
+    })
+}
+
 /// One framed connection to a peer's data plane. Supports both the
 /// single round-trip [`DataConn::call`] (control-ish ops: `Stat`,
 /// `Prepare`, `Discard`) and split send/receive halves so transfers
-/// can keep a window of range requests in flight.
+/// can keep a window of range requests in flight. Reads go through the
+/// `BufReader` (a window of small replies costs one `read`, a large
+/// payload is read straight into its frame); writes go through
+/// `get_mut()` to the same socket.
 pub(crate) struct DataConn {
-    stream: TcpStream,
-    reader: FrameReader,
+    stream: BufReader<TcpStream>,
 }
 
 impl DataConn {
@@ -272,8 +376,7 @@ impl DataConn {
         // both, or pipelined replies wait out the delayed-ACK timer.
         let _ = stream.set_nodelay(true);
         Ok(DataConn {
-            stream,
-            reader: FrameReader::new(),
+            stream: BufReader::new(stream),
         })
     }
 
@@ -283,15 +386,11 @@ impl DataConn {
     fn send_request(&mut self, req: &DataRequest) -> Result<(), (ErrorCode, String)> {
         let body = req.to_bytes();
         let header = frame_header(body.len());
-        write_all_vectored(&mut self.stream, &[&header, &body]).map_err(map_net)
+        write_all_vectored(self.stream.get_mut(), &[&header, &body]).map_err(map_net)
     }
 
     /// Send one `Store` frame whose payload is `len` bytes of `file`
-    /// at `offset`. The payload travels disk→socket via `sendfile(2)`
-    /// where available; otherwise it is `pread` into this worker's
-    /// pooled buffer and written together with header + request in one
-    /// vectored write. A source that comes up short (shrank under the
-    /// transfer) is an error: the frame length is already committed.
+    /// at `offset`.
     fn send_store(
         &mut self,
         req: &DataRequest,
@@ -301,118 +400,26 @@ impl DataConn {
     ) -> Result<(), (ErrorCode, String)> {
         let body = req.to_bytes();
         let header = frame_header(body.len() + len as usize);
-        #[cfg(target_os = "linux")]
-        if sendfile_enabled() {
-            write_all_vectored(&mut self.stream, &[&header, &body]).map_err(map_net)?;
-            let mut sent = 0u64;
-            while sent < len {
-                let want = (len - sent).min(1 << 30) as usize;
-                match sendfile_once(&self.stream, file, offset + sent, want) {
-                    Ok(0) => {
-                        return Err((
-                            ErrorCode::SystemError,
-                            format!("local source truncated at byte {}", offset + sent),
-                        ))
-                    }
-                    Ok(n) => sent += n as u64,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) if sent == 0 && sendfile_wants_fallback(&e) => {
-                        // First refusal on this box: remember and take
-                        // the buffered path for the rest of the frame
-                        // (header is committed, only payload remains).
-                        disable_sendfile();
-                        break;
-                    }
-                    Err(e) => return Err(map_net(e)),
-                }
-            }
-            if sent == len {
-                return Ok(());
-            }
-            // sendfile refused before moving anything: stream position
-            // is right after the request; fill the payload buffered.
-            return self.write_payload_buffered(file, offset + sent, len - sent, &[]);
-        }
-        self.write_payload_buffered(file, offset, len, &[&header, &body])
-    }
-
-    /// Buffered push path: `pread` the payload into the pooled
-    /// per-worker buffer and write `prefix` slices + payload in one
-    /// vectored write. A short read is an error — the frame header
-    /// already promised `len` payload bytes.
-    fn write_payload_buffered(
-        &mut self,
-        file: &File,
-        mut offset: u64,
-        len: u64,
-        prefix: &[&[u8]],
-    ) -> Result<(), (ErrorCode, String)> {
-        RANGE_BUF.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            let want = (len.min(REMOTE_POOL_BUF as u64) as usize).max(1);
-            if buf.len() < want {
-                buf.resize(want, 0);
-            }
-            let mut remaining = len;
-            let mut first = true;
-            while remaining > 0 || first {
-                let step = remaining.min(REMOTE_POOL_BUF as u64) as usize;
-                let mut filled = 0usize;
-                while filled < step {
-                    match file.read_at(&mut buf[filled..step], offset + filled as u64) {
-                        Ok(0) => {
-                            return Err((
-                                ErrorCode::SystemError,
-                                format!(
-                                    "local source truncated at byte {}",
-                                    offset + filled as u64
-                                ),
-                            ))
-                        }
-                        Ok(n) => filled += n,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(map_io(e)),
-                    }
-                }
-                let parts: Vec<&[u8]> = if first {
-                    prefix.iter().copied().chain([&buf[..step]]).collect()
-                } else {
-                    vec![&buf[..step]]
-                };
-                write_all_vectored(&mut self.stream, &parts).map_err(map_net)?;
-                offset += step as u64;
-                remaining -= step as u64;
-                first = false;
-            }
-            Ok(())
-        })
+        send_file_range(self.stream.get_mut(), &[&header, &body], file, offset, len)
     }
 
     /// Read one response frame (blocking, bounded by the stream's
     /// read timeout). Returns the decoded response and whatever
     /// payload followed it.
     fn recv_response(&mut self) -> Result<(DataResponse, Bytes), (ErrorCode, String)> {
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            if let Some(frame) = self
-                .reader
-                .next_frame()
-                .map_err(|e| (ErrorCode::SystemError, format!("data plane framing: {e}")))?
-            {
-                let mut frame = frame;
-                let resp = DataResponse::decode(&mut frame)
-                    .map_err(|e| (ErrorCode::SystemError, format!("data plane decode: {e}")))?;
-                return Ok((resp, frame));
+        let mut frame = read_frame(&mut self.stream).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => (
+                ErrorCode::SystemError,
+                "peer closed the data connection".into(),
+            ),
+            io::ErrorKind::InvalidData => {
+                (ErrorCode::SystemError, format!("data plane framing: {e}"))
             }
-            let n = self.stream.read(&mut buf).map_err(map_net)?;
-            if n == 0 {
-                return Err((
-                    ErrorCode::SystemError,
-                    "peer closed the data connection".into(),
-                ));
-            }
-            self.reader.extend(&buf[..n]);
-        }
+            _ => map_net(e),
+        })?;
+        let resp = DataResponse::decode(&mut frame)
+            .map_err(|e| (ErrorCode::SystemError, format!("data plane decode: {e}")))?;
+        Ok((resp, frame))
     }
 
     /// One round-trip: send `req`, read one response frame.
@@ -917,6 +924,40 @@ mod tests {
         assert_eq!(RemoteTransfer::range_step(0, 8), 1);
     }
 
+    /// `send_file_range` delivers prefix + payload intact, and refuses
+    /// a source that comes up short of the committed length instead of
+    /// padding the frame (the serving daemon then drops the
+    /// connection, so a torn frame never reaches the peer).
+    #[test]
+    fn send_file_range_sends_prefix_and_payload_and_refuses_a_short_source() {
+        let dir = std::env::temp_dir().join(format!("norns-send-range-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("src.dat");
+        let data: Vec<u8> = (0..3 * REMOTE_POOL_BUF + 17)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        fs::write(&path, &data).unwrap();
+        let file = File::open(&path).unwrap();
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut rx, _) = listener.accept().unwrap();
+        let reader = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            std::io::Read::read_to_end(&mut rx, &mut got).unwrap();
+            got
+        });
+        send_file_range(&mut tx, &[b"head", b"er"], &file, 5, data.len() as u64 - 5).unwrap();
+        let err = send_file_range(&mut tx, &[], &file, 10, data.len() as u64).unwrap_err();
+        assert!(err.1.contains("truncated"), "{err:?}");
+        drop(tx);
+        let got = reader.join().unwrap();
+        assert_eq!(&got[..6], b"header");
+        assert_eq!(&got[6..data.len() + 1], &data[5..]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// The per-worker connection cache is bounded: inserting more
     /// peers than the cap evicts the least-recently-stored entry
     /// instead of growing without limit.
@@ -984,19 +1025,9 @@ mod tests {
                     let partial = Arc::clone(&partial);
                     let discards = Arc::clone(&discards);
                     std::thread::spawn(move || {
-                        let mut reader = FrameReader::new();
-                        let mut buf = [0u8; 64 * 1024];
                         loop {
-                            let mut frame = loop {
-                                match reader.next_frame() {
-                                    Ok(Some(f)) => break f,
-                                    Ok(None) => {}
-                                    Err(_) => return,
-                                }
-                                match stream.read(&mut buf) {
-                                    Ok(0) | Err(_) => return,
-                                    Ok(n) => reader.extend(&buf[..n]),
-                                }
+                            let Ok(mut frame) = read_frame(&mut stream) else {
+                                return;
                             };
                             let Ok(req) = DataRequest::decode(&mut frame) else {
                                 return;

@@ -2,14 +2,21 @@
 //! host move files between their dataspaces in both directions
 //! (`RemotePath` pull and push), with live progress, mid-stream
 //! cancel, and proper failures for unknown/unreachable peers and
-//! escaping remote paths.
+//! escaping remote paths. The raw-TCP tests at the end speak the
+//! framed data-plane protocol by hand to pin down what the serving
+//! daemon answers. Run this file with `NORNS_NO_SENDFILE=1` as well:
+//! that switch sends pushes and served `Fetch` payloads through the
+//! buffered fallback instead of `sendfile(2)`.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use norns_ipc::{CtlClient, DaemonConfig, UrdDaemon, MIN_CHUNK_SIZE};
 use norns_proto::{
-    BackendKind, DataspaceDesc, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState,
+    frame_header, read_frame, BackendKind, DataRequest, DataResponse, DataspaceDesc, ErrorCode,
+    ResourceDesc, TaskOp, TaskSpec, TaskState, Wire, MAX_FRAME_LEN,
 };
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -296,7 +303,7 @@ fn wide_window_preserves_patterned_content_integrity() {
     // A 4 MiB chunk with a window of 16 subdivides into many in-flight
     // ranges per chunk; the position-dependent pattern catches any
     // range that lands at the wrong offset (and NORNS_NO_SENDFILE=1 in
-    // CI exercises the buffered push fallback the same way).
+    // CI exercises the buffered push and Fetch fallback the same way).
     let chunk = 4 << 20;
     let cfg = |tag: &str| {
         DaemonConfig::in_dir(temp_root(tag).join("sockets"))
@@ -726,5 +733,176 @@ fn unsupported_remote_combinations_are_rejected() {
             Some(b"abc"),
         ),
         "memory to remote",
+    );
+}
+
+/// A raw connection to `daemon`'s data plane, bounded so a torn or
+/// missing reply fails the test instead of hanging it.
+fn raw_data_conn(daemon: &UrdDaemon) -> TcpStream {
+    let stream = TcpStream::connect(daemon.data_addr().unwrap()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+}
+
+/// One hand-framed data-plane round-trip: `req` plus its trailing
+/// `payload` out, one response frame back as (response, payload).
+fn raw_call(stream: &mut TcpStream, req: &DataRequest, payload: &[u8]) -> (DataResponse, Vec<u8>) {
+    let body = req.to_bytes();
+    let mut framed = frame_header(body.len() + payload.len()).to_vec();
+    framed.extend_from_slice(&body);
+    framed.extend_from_slice(payload);
+    stream.write_all(&framed).unwrap();
+    let mut frame = read_frame(stream).unwrap();
+    let resp = DataResponse::decode(&mut frame).unwrap();
+    (resp, frame.to_vec())
+}
+
+/// Only `Prepare` creates a destination. A `Store` that lands after a
+/// `Discard` (say, a range from a dead connection racing a cancelled
+/// push's cleanup) must fail instead of putting a partial file back
+/// under the final name.
+#[test]
+fn store_after_discard_answers_not_found_and_leaves_no_file() {
+    let root = temp_root("store-after-discard");
+    let (daemon, _ctl, mount) =
+        start_node(&root, "nodeb", DaemonConfig::in_dir(root.join("sockets")));
+    let mut conn = raw_data_conn(&daemon);
+    let (nsid, path) = ("nodeb-ds".to_string(), "partial.dat".to_string());
+    let prepare = DataRequest::Prepare {
+        nsid: nsid.clone(),
+        path: path.clone(),
+        size: 4096,
+    };
+    assert_eq!(raw_call(&mut conn, &prepare, &[]).0, DataResponse::Ok);
+    assert!(
+        mount.join(&path).exists(),
+        "Prepare creates the destination"
+    );
+    let discard = DataRequest::Discard {
+        nsid: nsid.clone(),
+        path: path.clone(),
+    };
+    assert_eq!(raw_call(&mut conn, &discard, &[]).0, DataResponse::Ok);
+    let store = DataRequest::Store {
+        nsid,
+        path: path.clone(),
+        offset: 0,
+    };
+    match raw_call(&mut conn, &store, &[7u8; 1024]).0 {
+        DataResponse::Error { code, .. } => assert_eq!(code, ErrorCode::NotFound),
+        other => panic!("a Store after Discard must fail, got {other:?}"),
+    }
+    assert!(
+        !mount.join(&path).exists(),
+        "a late Store must not recreate the discarded file"
+    );
+}
+
+/// A `Fetch` is bounded by the source's size when it is served: a
+/// source that shrank after the peer's `Stat` yields a short `Data`
+/// whose frame length matches its payload, and a `Fetch` at or past
+/// EOF an empty one. Each answer is checked on the same connection, so
+/// a frame promising more bytes than it carried would desynchronize
+/// (or time out) the next read.
+#[test]
+fn fetch_past_eof_returns_a_short_data_frame() {
+    let root = temp_root("fetch-eof");
+    let (daemon, _ctl, mount) =
+        start_node(&root, "nodeb", DaemonConfig::in_dir(root.join("sockets")));
+    let data = pattern(100_000);
+    std::fs::write(mount.join("src.dat"), &data).unwrap();
+    let mut conn = raw_data_conn(&daemon);
+    let nsid = "nodeb-ds".to_string();
+    let path = "src.dat".to_string();
+    let stat = DataRequest::Stat {
+        nsid: nsid.clone(),
+        path: path.clone(),
+    };
+    assert_eq!(
+        raw_call(&mut conn, &stat, &[]).0,
+        DataResponse::Stat { size: 100_000 }
+    );
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(mount.join("src.dat"))
+        .unwrap()
+        .set_len(60_000)
+        .unwrap();
+    let fetch = |offset: u64, len: u64| DataRequest::Fetch {
+        nsid: nsid.clone(),
+        path: path.clone(),
+        offset,
+        len,
+    };
+    // (offset, len of the old full range) → bytes the truncated source
+    // still holds.
+    for (offset, len, want) in [
+        (0, 100_000, 0..60_000),
+        (40_000, 60_000, 40_000..60_000),
+        (60_000, 40_000, 0..0),
+        (70_000, 30_000, 0..0),
+    ] {
+        let (resp, payload) = raw_call(&mut conn, &fetch(offset, len), &[]);
+        assert_eq!(resp, DataResponse::Data, "Fetch at {offset}");
+        assert_eq!(payload, &data[want], "Fetch at {offset}");
+    }
+    // A directory is refused like its `Stat` is, before any payload
+    // (or a `sendfile` the kernel would reject) is attempted.
+    std::fs::create_dir(mount.join("sub")).unwrap();
+    let dir_fetch = DataRequest::Fetch {
+        nsid: nsid.clone(),
+        path: "sub".into(),
+        offset: 0,
+        len: 10,
+    };
+    match raw_call(&mut conn, &dir_fetch, &[]) {
+        (DataResponse::Error { code, .. }, payload) => {
+            assert_eq!(code, ErrorCode::BadArgs);
+            assert!(payload.is_empty());
+        }
+        other => panic!("a Fetch of a directory must fail, got {other:?}"),
+    }
+}
+
+/// A frame header over `MAX_FRAME_LEN` is a protocol violation: the
+/// daemon drops that connection without allocating for it, and keeps
+/// serving every other peer.
+#[test]
+fn oversized_data_frame_drops_only_that_connection() {
+    let root = temp_root("oversized-frame");
+    let (daemon, _ctl, mount) =
+        start_node(&root, "nodeb", DaemonConfig::in_dir(root.join("sockets")));
+    std::fs::write(mount.join("src.dat"), b"still served").unwrap();
+    let stat = DataRequest::Stat {
+        nsid: "nodeb-ds".into(),
+        path: "src.dat".into(),
+    };
+    let mut other = raw_data_conn(&daemon);
+    assert_eq!(
+        raw_call(&mut other, &stat, &[]).0,
+        DataResponse::Stat { size: 12 }
+    );
+
+    let mut bad = raw_data_conn(&daemon);
+    bad.write_all(&(MAX_FRAME_LEN + 1).to_le_bytes()).unwrap();
+    bad.write_all(&[0u8; 64]).unwrap();
+    match bad.read(&mut [0u8; 16]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("an oversized frame must drop the connection, got {other:?}"),
+    }
+
+    assert_eq!(
+        raw_call(&mut other, &stat, &[]).0,
+        DataResponse::Stat { size: 12 },
+        "a peer connected before the violation is still served"
+    );
+    let mut fresh = raw_data_conn(&daemon);
+    assert_eq!(
+        raw_call(&mut fresh, &stat, &[]).0,
+        DataResponse::Stat { size: 12 },
+        "a peer connecting after the violation is served"
     );
 }

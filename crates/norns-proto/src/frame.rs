@@ -11,7 +11,12 @@
 //! `len` is little-endian and counts the version byte plus payload.
 //! [`FrameReader`] is an incremental decoder that accepts arbitrary
 //! chunk boundaries (short reads, coalesced frames) — required because
-//! the daemon's accept loop reads whatever the kernel buffered.
+//! the daemon's nonblocking reactors read whatever the kernel buffered.
+//! [`read_frame`] is the blocking counterpart used by the data plane:
+//! it reads each frame straight into an exactly sized buffer. Both
+//! apply the same length and version checks.
+
+use std::io::{self, Read};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -125,6 +130,52 @@ impl From<WireError> for FrameError {
     }
 }
 
+/// Validate a frame's length field before anything is allocated for
+/// it: non-zero (it counts the version byte) and within
+/// [`MAX_FRAME_LEN`].
+fn check_len(len: u32) -> Result<usize, FrameError> {
+    if len == 0 || len > MAX_FRAME_LEN {
+        return Err(FrameError::TooLarge(len));
+    }
+    Ok(len as usize)
+}
+
+fn check_version(ver: u8) -> Result<(), FrameError> {
+    if ver != PROTOCOL_VERSION {
+        return Err(FrameError::BadVersion(ver));
+    }
+    Ok(())
+}
+
+/// Blocking read of one frame payload from `r`.
+///
+/// The length is validated before anything is allocated for it; the
+/// frame is then read straight into an exactly sized buffer (no
+/// zero-fill, no intermediate copy) and handed back as [`Bytes`]
+/// without copying. A bad length or version is `InvalidData` wrapping
+/// the [`FrameError`]; a stream ending mid-frame is `UnexpectedEof`.
+pub fn read_frame(r: &mut impl Read) -> io::Result<Bytes> {
+    let mut len = [0u8; 4];
+    r.read_exact(&mut len)?;
+    let len = check_len(u32::from_le_bytes(len)).map_err(invalid_data)?;
+    let mut frame = Vec::with_capacity(len);
+    r.take(len as u64).read_to_end(&mut frame)?;
+    if frame.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("stream ended {} bytes into a {len}-byte frame", frame.len()),
+        ));
+    }
+    check_version(frame[0]).map_err(invalid_data)?;
+    let mut frame = Bytes::from(frame);
+    frame.advance(1);
+    Ok(frame)
+}
+
+fn invalid_data(e: FrameError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
 /// Incremental frame decoder.
 #[derive(Debug, Default)]
 pub struct FrameReader {
@@ -152,19 +203,18 @@ impl FrameReader {
         if self.buf.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-        if len == 0 || len > MAX_FRAME_LEN {
-            return Err(FrameError::TooLarge(len));
-        }
-        if self.buf.len() < 4 + len as usize {
+        let len = check_len(u32::from_le_bytes([
+            self.buf[0],
+            self.buf[1],
+            self.buf[2],
+            self.buf[3],
+        ]))?;
+        if self.buf.len() < 4 + len {
             return Ok(None);
         }
         self.buf.advance(4);
-        let mut frame = self.buf.split_to(len as usize).freeze();
-        let ver = frame.get_u8();
-        if ver != PROTOCOL_VERSION {
-            return Err(FrameError::BadVersion(ver));
-        }
+        let mut frame = self.buf.split_to(len).freeze();
+        check_version(frame.get_u8())?;
         Ok(Some(frame))
     }
 }
@@ -262,7 +312,94 @@ mod tests {
         ));
     }
 
+    /// A reader handing out at most the next scripted count of bytes
+    /// per `read` call: short reads at arbitrary boundaries.
+    struct Dribble {
+        data: Vec<u8>,
+        pos: usize,
+        steps: Vec<usize>,
+        calls: usize,
+    }
+
+    impl Read for Dribble {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let step = self.steps[self.calls % self.steps.len()];
+            self.calls += 1;
+            let n = step.min(buf.len()).min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    fn frame_error(e: &io::Error) -> Option<&FrameError> {
+        e.get_ref()
+            .and_then(|inner| inner.downcast_ref::<FrameError>())
+    }
+
+    #[test]
+    fn read_frame_rejects_bad_lengths_before_reading_the_payload() {
+        for len in [0, MAX_FRAME_LEN + 1, u32::MAX] {
+            let mut stream = len.to_le_bytes().to_vec();
+            stream.extend_from_slice(&[PROTOCOL_VERSION; 64]);
+            let mut r = io::Cursor::new(stream);
+            let e = read_frame(&mut r).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "len {len}");
+            assert_eq!(frame_error(&e), Some(&FrameError::TooLarge(len)));
+            assert_eq!(r.position(), 4, "len {len}: nothing past the header read");
+        }
+    }
+
+    #[test]
+    fn read_frame_rejects_wrong_version() {
+        let mut stream = 2u32.to_le_bytes().to_vec();
+        stream.extend_from_slice(&[99, 0]);
+        let e = read_frame(&mut io::Cursor::new(stream)).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(frame_error(&e), Some(&FrameError::BadVersion(99)));
+    }
+
+    #[test]
+    fn read_frame_eof_mid_frame_is_unexpected_eof() {
+        let framed = encode_frame(b"cut short");
+        for cut in [2, 4, 5, framed.len() - 1] {
+            let e = read_frame(&mut io::Cursor::new(framed[..cut].to_vec())).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn read_frame_reads_back_to_back_frames_and_empty_payloads() {
+        let mut stream = Vec::new();
+        for p in [&b"one"[..], b"", b"three"] {
+            stream.extend_from_slice(&encode_frame(p));
+        }
+        let mut r = io::Cursor::new(stream);
+        assert_eq!(&read_frame(&mut r).unwrap()[..], b"one");
+        assert!(read_frame(&mut r).unwrap().is_empty());
+        assert_eq!(&read_frame(&mut r).unwrap()[..], b"three");
+        let e = read_frame(&mut r).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
     proptest! {
+        #[test]
+        fn prop_read_frame_roundtrip_through_short_reads(
+            payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..300), 1..8),
+            steps in proptest::collection::vec(1usize..17, 1..8),
+        ) {
+            let mut data = Vec::new();
+            for p in &payloads {
+                data.extend_from_slice(&encode_frame(p));
+            }
+            let mut r = Dribble { data, pos: 0, steps, calls: 0 };
+            for p in &payloads {
+                let got = read_frame(&mut r).unwrap();
+                prop_assert_eq!(got.to_vec(), p.clone());
+            }
+            prop_assert_eq!(r.pos, r.data.len());
+        }
+
         #[test]
         fn prop_roundtrip_any_payload(payload: Vec<u8>) {
             let framed = encode_frame(&payload);

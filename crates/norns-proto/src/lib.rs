@@ -9,7 +9,9 @@
 //! * [`messages`] — the full request/response set for both the
 //!   `nornsctl` control API and the `norns` user API (Table I).
 //! * [`frame`] — length-prefixed, versioned stream framing with an
-//!   incremental reader tolerant of arbitrary chunk boundaries.
+//!   incremental reader tolerant of arbitrary chunk boundaries and a
+//!   blocking reader that fills each frame's buffer straight from the
+//!   stream.
 //!
 //! Used by `norns-ipc` (the real daemon over real sockets) and by the
 //! protocol-level benchmarks.
@@ -19,7 +21,7 @@ pub mod messages;
 pub mod wire;
 
 pub use frame::{
-    decode_tagged, encode_frame, encode_tagged, frame_header, FrameError, FrameReader,
+    decode_tagged, encode_frame, encode_tagged, frame_header, read_frame, FrameError, FrameReader,
     MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 pub use messages::{
