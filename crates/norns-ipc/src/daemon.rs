@@ -635,6 +635,13 @@ fn reactor_loop(shared: Arc<Shared>, reactor: Arc<Reactor>, mut listeners: Optio
         }
     }
     loop {
+        // Checked before every wait too: the shutdown's wake-up may
+        // have been consumed by the waker drain of the last pass (a
+        // wake this reactor sent itself while accepting), and a wait
+        // without it would never return.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
         events.clear();
         let timeout = listeners
             .as_ref()
@@ -1513,9 +1520,18 @@ fn handle_data(engine: &Arc<Engine>, frame: Bytes) -> (DataResponse, Option<File
                     return map_io_data(e);
                 }
             }
-            match std::fs::File::create(&local).and_then(|f| f.set_len(size)) {
+            let file = match std::fs::File::create(&local) {
+                Ok(f) => f,
+                Err(e) => return map_io_data(e),
+            };
+            match file.set_len(size) {
                 Ok(()) => (DataResponse::Ok, None),
-                Err(e) => map_io_data(e),
+                Err(e) => {
+                    // An empty file left under the final name would
+                    // take the `Store`s queued behind this `Prepare`.
+                    let _ = std::fs::remove_file(&local);
+                    map_io_data(e)
+                }
             }
         }
         DataRequest::Store { nsid, path, offset } => {

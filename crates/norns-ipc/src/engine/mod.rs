@@ -1215,7 +1215,7 @@ impl Engine {
             .unwrap_or_default();
         self.pending_count.fetch_sub(1, Ordering::SeqCst);
         self.running_count.fetch_add(1, Ordering::SeqCst);
-        match self.run_transfer(task_id, &spec, payload.as_deref(), &progress, &abort) {
+        match self.run_transfer(task_id, &spec, payload.as_deref(), start, &progress, &abort) {
             Ok(Outcome::Done(moved)) => {
                 self.complete_task(
                     task_id,
@@ -1227,11 +1227,14 @@ impl Engine {
                 // The plan honors the abort flag: from here on a cancel
                 // interrupts the transfer mid-stream.
                 self.tasks.update(task_id, |t| t.abortable = true);
-                // Feed the remaining chunks through the scheduler, then
-                // work one chunk ourselves; whichever worker finishes
+                // Planning is over (a remote plan has read its planning
+                // reply, so a push's `Prepare` has landed): feed the
+                // remaining chunks through the scheduler, then work one
+                // chunk ourselves — a remote plan's first unit resumes
+                // chunk 0, already in flight. Whichever worker finishes
                 // the last unit finalizes the task.
                 self.enqueue_chunk_units(pending, &plan);
-                if plan.run_unit() {
+                if plan.run_first_unit() {
                     self.finalize_chunked(&plan);
                 }
             }
@@ -1614,12 +1617,14 @@ impl Engine {
 
     /// Execute (or plan) one transfer. Large single-file copies and
     /// every remote transfer return [`Outcome::Chunked`] instead of
-    /// blocking this worker for the whole file.
+    /// blocking this worker for the whole file; their plans time the
+    /// task from `started`, the planning dispatch.
     fn run_transfer(
         &self,
         task_id: u64,
         spec: &TaskSpec,
         payload: Option<&[u8]>,
+        started: Instant,
         progress: &Arc<AtomicU64>,
         abort: &Arc<AtomicBool>,
     ) -> Result<Outcome, (ErrorCode, String)> {
@@ -1639,7 +1644,7 @@ impl Engine {
             TaskOp::Copy | TaskOp::Move => {
                 match Self::route_of(spec)? {
                     route @ (Route::Pull { .. } | Route::Push { .. }) => {
-                        return self.plan_remote(task_id, spec, &route, progress, abort);
+                        return self.plan_remote(task_id, spec, &route, started, progress, abort);
                     }
                     Route::Local => {}
                 }
@@ -1678,6 +1683,7 @@ impl Engine {
                                 &dst,
                                 meta.len(),
                                 self.chunk_size,
+                                started,
                                 Arc::clone(progress),
                                 Arc::clone(abort),
                             )
@@ -1699,14 +1705,16 @@ impl Engine {
         }
     }
 
-    /// Plan a remote staging transfer (worker-side: planning does
-    /// network round-trips — a size probe for pulls, a preallocating
-    /// `Prepare` for pushes — that must not block `submit`).
+    /// Plan a remote staging transfer (worker-side: planning waits for
+    /// a network round trip — a size probe for pulls, a preallocating
+    /// `Prepare` for pushes, each with chunk 0's first window behind
+    /// it — that must not block `submit`).
     fn plan_remote(
         &self,
         task_id: u64,
         spec: &TaskSpec,
         route: &Route,
+        started: Instant,
         progress: &Arc<AtomicU64>,
         abort: &Arc<AtomicBool>,
     ) -> Result<Outcome, (ErrorCode, String)> {
@@ -1734,6 +1742,7 @@ impl Engine {
                     &local,
                     self.chunk_size,
                     self.remote_window,
+                    started,
                     Arc::clone(progress),
                     Arc::clone(abort),
                 )?;
@@ -1752,6 +1761,7 @@ impl Engine {
                     &local,
                     self.chunk_size,
                     self.remote_window,
+                    started,
                     Arc::clone(progress),
                     Arc::clone(abort),
                 )?;

@@ -31,6 +31,18 @@
 //! `cancel()` interrupts one mid-stream (in-flight responses are
 //! drained so a cached connection never desynchronizes).
 //!
+//! The planning exchange rides in the first window. The planner writes
+//! its `Prepare` (push) or `Stat` (pull) and chunk 0's first window of
+//! `Store`s or `Fetch`es back to back, reads only the planning reply,
+//! and hands the still-open exchange to its own unit, so a file of
+//! one chunk or less costs one round trip, not two. A push enqueues its
+//! other chunks only after the `Prepare` reply is read: no `Store` on
+//! another connection can reach the peer before its `Prepare`. A pull
+//! does not know the size when its first `Fetch`es leave, so they are
+//! stepped for a full chunk, and once the `Stat` reply is read each
+//! expected length is clipped to what the source holds past that
+//! offset (the peer answers past EOF with a short or empty `Data`).
+//!
 //! **Syscall fast paths.** No payload byte is copied in userspace on
 //! either end. Payloads leave a file through one sender,
 //! [`send_file_range`]: a pushed `Store` here and a served `Fetch` on
@@ -49,9 +61,16 @@
 //! connect timeout instead of hanging; a failed or cancelled pull
 //! removes the preallocated local destination, a failed or cancelled
 //! push asks the peer to discard the partial remote file. A failure on
-//! a *cached* connection retries the remaining ranges once on a fresh
-//! connection — safe because every range names an absolute offset
-//! (idempotent replay).
+//! a *cached* connection retries once on a fresh connection — the
+//! remaining ranges, or, before the planning reply has arrived, the
+//! whole planning flight — safe because every range names an absolute
+//! offset and `Stat`/`Prepare` are re-runnable (idempotent replay). A
+//! refused planning request (missing source, escaping path, no space, a
+//! directory) is what the task reports, not the follow-on range errors;
+//! the replies already in flight are drained so the cached connection
+//! stays frame-aligned. A pulled payload whose length differs from the
+//! clipped expectation means the source changed under the transfer:
+//! the task fails and the local destination is removed.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -62,9 +81,10 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 
 use norns_proto::{
     frame_header, read_frame, DataRequest, DataResponse, ErrorCode, Wire, MAX_DATA_RANGE,
@@ -82,11 +102,12 @@ const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Default per-connection request window: enough in-flight ranges to
 /// hide a round-trip of latency without making cancel drains costly.
-/// Swept with perfbench on a 2-vCPU x86-64 VM, both ends with Nagle
-/// off, two seeds of 15 s each: through a 2 ms RTT shaper `wan_stage`
-/// moves 0.30–0.33 / 0.31–0.34 / 0.38–0.39 / 0.32–0.37 GiB/s at
-/// windows 1 / 4 / 8 / 32; on loopback `bulk_stage` moves 1.25–1.45
-/// GiB/s at window 1 and 1.50–1.55 at window 8.
+/// Swept with perfbench on a 2-vCPU x86-64 VM (copy-free data plane,
+/// planning riding the first window), 30 s runs: through a 2 ms RTT
+/// shaper `wan_stage` moves 0.42–0.51 / 0.52–0.55 / 0.53–0.60 /
+/// 0.60–0.63 GiB/s at windows 1 / 4 / 8 / 32 (three seeds); on
+/// loopback `bulk_stage` moves 1.55–1.85 GiB/s at every one of these
+/// windows (two seeds), within its run-to-run spread.
 pub const DEFAULT_REMOTE_WINDOW: usize = 8;
 
 /// Hard cap on the per-connection request window. Above this the
@@ -345,12 +366,11 @@ fn write_payload_buffered(
 }
 
 /// One framed connection to a peer's data plane. Supports both the
-/// single round-trip [`DataConn::call`] (control-ish ops: `Stat`,
-/// `Prepare`, `Discard`) and split send/receive halves so transfers
-/// can keep a window of range requests in flight. Reads go through the
-/// `BufReader` (a window of small replies costs one `read`, a large
-/// payload is read straight into its frame); writes go through
-/// `get_mut()` to the same socket.
+/// single round-trip [`DataConn::call`] (`Discard`) and split
+/// send/receive halves so transfers can keep a window of requests in
+/// flight. Reads go through the `BufReader` (a window of small replies
+/// costs one `read`, a large payload is read straight into its frame);
+/// writes go through `get_mut()` to the same socket.
 pub(crate) struct DataConn {
     stream: BufReader<TcpStream>,
 }
@@ -487,6 +507,7 @@ fn store_conn(addr: &str, conn: DataConn) {
 /// round-trip is retried once on a fresh connection — safe because
 /// every data request is idempotent (`Fetch`/`Store` name absolute
 /// ranges; `Stat`/`Prepare`/`Discard` are naturally re-runnable).
+/// [`open_flight`] follows the same rule.
 fn round_trip(addr: &str, req: &DataRequest) -> Result<(DataResponse, Bytes), (ErrorCode, String)> {
     if let Some(mut conn) = take_conn(addr) {
         if let Ok(result) = conn.call(req) {
@@ -501,34 +522,101 @@ fn round_trip(addr: &str, req: &DataRequest) -> Result<(DataResponse, Bytes), (E
     Ok(result)
 }
 
+/// The error a reply other than the expected one stands for.
+fn refusal(resp: DataResponse) -> (ErrorCode, String) {
+    match resp {
+        DataResponse::Error { code, message } => (code, message),
+        other => (
+            ErrorCode::SystemError,
+            format!("unexpected data response: {other:?}"),
+        ),
+    }
+}
+
 /// A round-trip whose only interesting success is `Ok`.
 fn expect_ok(addr: &str, req: &DataRequest) -> Result<(), (ErrorCode, String)> {
     match round_trip(addr, req)? {
         (DataResponse::Ok, _) => Ok(()),
-        (DataResponse::Error { code, message }, _) => Err((code, message)),
-        (other, _) => Err((
-            ErrorCode::SystemError,
-            format!("unexpected data response: {other:?}"),
-        )),
+        (other, _) => Err(refusal(other)),
     }
 }
 
-/// `Stat` round-trip: the remote file's size in bytes.
-fn stat(addr: &str, nsid: &str, path: &str) -> Result<u64, (ErrorCode, String)> {
-    match round_trip(
-        addr,
-        &DataRequest::Stat {
-            nsid: nsid.into(),
-            path: path.into(),
-        },
-    )? {
-        (DataResponse::Stat { size }, _) => Ok(size),
-        (DataResponse::Error { code, message }, _) => Err((code, message)),
-        (other, _) => Err((
-            ErrorCode::SystemError,
-            format!("unexpected data response: {other:?}"),
-        )),
+/// Send range requests for `[*next, end)` in `step`s until `window`
+/// are in flight, recording each as `(offset, len)`.
+fn fill_window(
+    inflight: &mut VecDeque<(u64, u64)>,
+    window: usize,
+    next: &mut u64,
+    end: u64,
+    step: u64,
+    mut send: impl FnMut(u64, u64) -> Result<(), (ErrorCode, String)>,
+) -> Result<(), (ErrorCode, String)> {
+    while inflight.len() < window && *next < end {
+        let len = step.min(end - *next);
+        send(*next, len)?;
+        inflight.push_back((*next, len));
+        *next += len;
     }
+    Ok(())
+}
+
+/// The planner's opening exchange on one connection: the planning
+/// reply, read, and chunk 0's first window still in flight behind it.
+type Flight = (DataConn, DataResponse, VecDeque<(u64, u64)>);
+
+/// Write the `planning` request and then chunk 0's first window of
+/// range requests over `[0, end)` back to back, without waiting in
+/// between, and read the planning reply. The peer serves a connection's
+/// requests in order, so the planning request takes effect before any
+/// range behind it. A failure before the planning reply arrives, on a
+/// cached connection, replays the whole flight once on a fresh one.
+fn open_flight(
+    addr: &str,
+    planning: &DataRequest,
+    window: usize,
+    end: u64,
+    step: u64,
+    mut send_range: impl FnMut(&mut DataConn, u64, u64) -> Result<(), (ErrorCode, String)>,
+) -> Result<Flight, (ErrorCode, String)> {
+    let mut fly = |mut conn: DataConn| -> Result<Flight, (ErrorCode, String)> {
+        conn.send_request(planning)?;
+        let mut inflight = VecDeque::with_capacity(window);
+        fill_window(&mut inflight, window, &mut 0, end, step, |off, len| {
+            send_range(&mut conn, off, len)
+        })?;
+        let (reply, _) = conn.recv_response()?;
+        Ok((conn, reply, inflight))
+    };
+    if let Some(flight) = take_conn(addr).and_then(|conn| fly(conn).ok()) {
+        return Ok(flight);
+    }
+    fly(DataConn::connect(addr)?)
+}
+
+/// Read and drop the `n` replies still in flight behind a refused
+/// planning request; the connection goes back to the cache only once
+/// it is frame-aligned again.
+fn drain_to_cache(addr: &str, mut conn: DataConn, n: usize) {
+    if (0..n).all(|_| conn.recv_response().is_ok()) {
+        store_conn(addr, conn);
+    }
+}
+
+/// Create the pull destination and preallocate it (the fallocate
+/// analog), as the local chunked copy does: units then write disjoint
+/// interior ranges. A failed preallocation (ENOSPC) must not leave the
+/// truncated destination behind — its existence would fake a staged
+/// file.
+fn create_destination(path: &Path, size: u64) -> Result<File, (ErrorCode, String)> {
+    if let Some(parent) = path.parent() {
+        fs::create_dir_all(parent).map_err(map_io)?;
+    }
+    let local = File::create(path).map_err(map_io)?;
+    if let Err(e) = local.set_len(size) {
+        let _ = fs::remove_file(path);
+        return Err(map_io(e));
+    }
+    Ok(local)
 }
 
 /// Which way the bytes flow, from the executing daemon's perspective.
@@ -549,6 +637,17 @@ enum WindowEnd {
     Cancelled(bool),
 }
 
+/// Chunk 0's exchange as the planner left it: the planning reply is
+/// read and the first window of range requests is still in flight on
+/// `conn`. The planner's own unit resumes it.
+struct Primed {
+    conn: DataConn,
+    /// Chunk 0's length.
+    len: u64,
+    step: u64,
+    inflight: VecDeque<(u64, u64)>,
+}
+
 /// A remote staging transfer decomposed into chunk sub-units.
 pub(crate) struct RemoteTransfer {
     task_id: u64,
@@ -564,12 +663,14 @@ pub(crate) struct RemoteTransfer {
     /// Requests kept in flight per connection (≥ 1; 1 = stop-and-wait).
     window: usize,
     grid: ChunkGrid,
+    primed: Mutex<Option<Primed>>,
 }
 
 impl RemoteTransfer {
-    /// Plan a pull: probe the remote size, preallocate the local
-    /// destination, lay out the chunk grid. Returns the plan and the
-    /// now-known transfer size (the submit-time estimate was 0).
+    /// Plan a pull: send the size probe with chunk 0's first window of
+    /// `Fetch`es behind it, then preallocate the local destination and
+    /// lay out the chunk grid once the size is known. Returns the plan
+    /// and the now-known transfer size (the submit-time estimate was 0).
     #[allow(clippy::too_many_arguments)]
     pub fn plan_pull(
         task_id: u64,
@@ -579,22 +680,57 @@ impl RemoteTransfer {
         local_path: &Path,
         chunk_size: u64,
         window: usize,
+        started: Instant,
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
     ) -> Result<(Arc<RemoteTransfer>, u64), (ErrorCode, String)> {
-        let size = stat(addr, nsid, rpath)?;
-        if let Some(parent) = local_path.parent() {
-            fs::create_dir_all(parent).map_err(map_io)?;
+        let window = window.clamp(1, MAX_REMOTE_WINDOW);
+        // The size is unknown until the `Stat` reply: step chunk 0's
+        // `Fetch`es for a full chunk.
+        let step = Self::range_step(chunk_size, window);
+        let stat = DataRequest::Stat {
+            nsid: nsid.into(),
+            path: rpath.into(),
+        };
+        let (conn, reply, mut inflight) = open_flight(
+            addr,
+            &stat,
+            window,
+            chunk_size,
+            step,
+            |conn, offset, len| {
+                conn.send_request(&DataRequest::Fetch {
+                    nsid: nsid.into(),
+                    path: rpath.into(),
+                    offset,
+                    len,
+                })
+            },
+        )?;
+        let planned = match reply {
+            DataResponse::Stat { size } => {
+                create_destination(local_path, size).map(|local| (local, size))
+            }
+            other => Err(refusal(other)),
+        };
+        let (local, size) = match planned {
+            Ok(planned) => planned,
+            Err(e) => {
+                drain_to_cache(addr, conn, inflight.len());
+                return Err(e);
+            }
+        };
+        // Past EOF the peer answers short or empty: expect exactly that.
+        for (off, len) in &mut inflight {
+            *len = (*len).min(size.saturating_sub(*off));
         }
-        let local = File::create(local_path).map_err(map_io)?;
-        // Preallocate (the fallocate analog), as the local chunked
-        // copy does: units then write disjoint interior ranges. A
-        // failed preallocation (ENOSPC) must not leave the truncated
-        // destination behind — its existence would fake a staged file.
-        if let Err(e) = local.set_len(size) {
-            let _ = fs::remove_file(local_path);
-            return Err(map_io(e));
-        }
+        let grid = ChunkGrid::new(size, chunk_size, started, progress, abort);
+        let primed = Primed {
+            conn,
+            len: grid.claim_first(),
+            step,
+            inflight,
+        };
         let plan = Arc::new(RemoteTransfer {
             task_id,
             direction: Direction::Pull,
@@ -603,14 +739,18 @@ impl RemoteTransfer {
             rpath: rpath.to_string(),
             local,
             local_path: local_path.to_path_buf(),
-            window: window.clamp(1, MAX_REMOTE_WINDOW),
-            grid: ChunkGrid::new(size, chunk_size, progress, abort),
+            window,
+            grid,
+            primed: Mutex::new(Some(primed)),
         });
         Ok((plan, size))
     }
 
-    /// Plan a push: open the local source, ask the peer to create and
-    /// preallocate the destination, lay out the chunk grid.
+    /// Plan a push: open the local source, then send the peer's
+    /// `Prepare` (create and preallocate the destination) with chunk
+    /// 0's first window of `Store`s behind it and read its reply. Only
+    /// then may the other chunks' units start, so no `Store` on another
+    /// connection can reach the peer before the `Prepare`.
     #[allow(clippy::too_many_arguments)]
     pub fn plan_push(
         task_id: u64,
@@ -620,6 +760,7 @@ impl RemoteTransfer {
         local_path: &Path,
         chunk_size: u64,
         window: usize,
+        started: Instant,
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
     ) -> Result<Arc<RemoteTransfer>, (ErrorCode, String)> {
@@ -632,14 +773,28 @@ impl RemoteTransfer {
             ));
         }
         let size = meta.len();
-        expect_ok(
-            addr,
-            &DataRequest::Prepare {
-                nsid: nsid.into(),
-                path: rpath.into(),
-                size,
-            },
-        )?;
+        let window = window.clamp(1, MAX_REMOTE_WINDOW);
+        let grid = ChunkGrid::new(size, chunk_size, started, progress, abort);
+        let first = grid.claim_first();
+        let step = Self::range_step(first, window);
+        let prepare = DataRequest::Prepare {
+            nsid: nsid.into(),
+            path: rpath.into(),
+            size,
+        };
+        let (conn, reply, inflight) =
+            open_flight(addr, &prepare, window, first, step, |conn, offset, len| {
+                let store = DataRequest::Store {
+                    nsid: nsid.into(),
+                    path: rpath.into(),
+                    offset,
+                };
+                conn.send_store(&store, &local, offset, len)
+            })?;
+        if reply != DataResponse::Ok {
+            drain_to_cache(addr, conn, inflight.len());
+            return Err(refusal(reply));
+        }
         Ok(Arc::new(RemoteTransfer {
             task_id,
             direction: Direction::Push,
@@ -648,8 +803,14 @@ impl RemoteTransfer {
             rpath: rpath.to_string(),
             local,
             local_path: local_path.to_path_buf(),
-            window: window.clamp(1, MAX_REMOTE_WINDOW),
-            grid: ChunkGrid::new(size, chunk_size, progress, abort),
+            window,
+            grid,
+            primed: Mutex::new(Some(Primed {
+                conn,
+                len: first,
+                step,
+                inflight,
+            })),
         }))
     }
 
@@ -710,8 +871,8 @@ impl RemoteTransfer {
                     return Err((
                         ErrorCode::SystemError,
                         format!(
-                            "remote source truncated at byte {}",
-                            off + payload.len() as u64
+                            "remote source changed: {} bytes at offset {off}, expected {len}",
+                            payload.len()
                         ),
                     ));
                 }
@@ -719,16 +880,13 @@ impl RemoteTransfer {
                 Ok(())
             }
             (Direction::Push, DataResponse::Ok) => Ok(()),
-            (_, DataResponse::Error { code, message }) => Err((code, message)),
-            (_, other) => Err((
-                ErrorCode::SystemError,
-                format!("unexpected data response: {other:?}"),
-            )),
+            (_, other) => Err(refusal(other)),
         }
     }
 
     /// Run one windowed exchange: keep up to `self.window` range
-    /// requests in flight on `conn`, draining responses in order.
+    /// requests in flight on `conn`, draining responses in order,
+    /// starting with those already `inflight` (a resumed exchange).
     /// `acked` advances past each confirmed range so a retry after a
     /// connection failure resumes from the first unconfirmed byte.
     fn run_window(
@@ -737,22 +895,24 @@ impl RemoteTransfer {
         offset: u64,
         len: u64,
         step: u64,
+        mut inflight: VecDeque<(u64, u64)>,
         acked: &mut u64,
     ) -> Result<WindowEnd, (ErrorCode, String)> {
         let end = offset + len;
-        let mut next = offset;
-        let mut inflight: VecDeque<(u64, u64)> = VecDeque::with_capacity(self.window);
+        let mut next = inflight.back().map_or(offset, |&(off, l)| off + l);
         loop {
             // Refill the window (the abort flag is observed here,
             // between refills, exactly as the stop-and-wait path
             // observed it between round-trips).
             if !self.grid.abort_requested() {
-                while inflight.len() < self.window && next < end {
-                    let l = step.min(end - next);
-                    self.send_range(conn, next, l)?;
-                    inflight.push_back((next, l));
-                    next += l;
-                }
+                fill_window(
+                    &mut inflight,
+                    self.window,
+                    &mut next,
+                    end,
+                    step,
+                    |off, l| self.send_range(conn, off, l),
+                )?;
             }
             if self.grid.abort_requested() {
                 // Stop issuing and drain what's in flight so the
@@ -780,25 +940,43 @@ impl RemoteTransfer {
     }
 
     /// Move one claimed chunk over the wire with up to `window`
-    /// requests in flight, checking the abort flag between refills. A
-    /// failure on a cached connection replays the unconfirmed ranges
-    /// once on a fresh connection (absolute offsets are idempotent).
-    fn transfer_range(&self, offset: u64, len: u64) -> Result<(), (ErrorCode, String)> {
-        if self.grid.abort_requested() {
-            self.grid.cancel();
-            return Ok(());
-        }
-        if len == 0 {
-            return Ok(());
-        }
-        let step = Self::range_step(len, self.window);
-        let mut acked = 0u64;
-        let (mut conn, mut may_retry) = match take_conn(&self.addr) {
-            Some(conn) => (conn, true),
-            None => (DataConn::connect(&self.addr)?, false),
+    /// requests in flight, checking the abort flag between refills, or
+    /// resume chunk 0 from the planner's `primed` exchange. A failure
+    /// on a cached connection replays the unconfirmed ranges once on a
+    /// fresh connection (absolute offsets are idempotent); a primed
+    /// connection has just answered the planning request, so it is not
+    /// stale and gets no replay.
+    fn transfer_range(
+        &self,
+        offset: u64,
+        len: u64,
+        primed: Option<Primed>,
+    ) -> Result<(), (ErrorCode, String)> {
+        let (mut conn, mut inflight, step, mut may_retry) = match primed {
+            Some(p) => (p.conn, p.inflight, p.step, false),
+            None => {
+                if self.grid.abort_requested() {
+                    self.grid.cancel();
+                    return Ok(());
+                }
+                let step = Self::range_step(len, self.window);
+                match take_conn(&self.addr) {
+                    Some(conn) => (conn, VecDeque::new(), step, true),
+                    None => (DataConn::connect(&self.addr)?, VecDeque::new(), step, false),
+                }
+            }
         };
+        let mut acked = 0u64;
         loop {
-            match self.run_window(&mut conn, offset + acked, len - acked, step, &mut acked) {
+            let resumed = std::mem::take(&mut inflight);
+            match self.run_window(
+                &mut conn,
+                offset + acked,
+                len - acked,
+                step,
+                resumed,
+                &mut acked,
+            ) {
                 Ok(WindowEnd::Complete) | Ok(WindowEnd::Cancelled(true)) => {
                     store_conn(&self.addr, conn);
                     return Ok(());
@@ -863,7 +1041,20 @@ impl TransferPlan for RemoteTransfer {
     fn run_unit(&self) -> bool {
         if let Some((offset, len)) = self.grid.claim() {
             let _guard = self.grid.enter();
-            if let Err(e) = self.transfer_range(offset, len) {
+            if let Err(e) = self.transfer_range(offset, len, None) {
+                self.grid.fail(e);
+            }
+        }
+        self.grid.complete_unit()
+    }
+
+    /// Resume chunk 0 where the planner left it, on the planner's
+    /// connection, which then returns to the planning worker's cache.
+    fn run_first_unit(&self) -> bool {
+        let primed = self.primed.lock().take();
+        if let Some(primed) = primed {
+            let _guard = self.grid.enter();
+            if let Err(e) = self.transfer_range(0, primed.len, Some(primed)) {
                 self.grid.fail(e);
             }
         }
@@ -1081,12 +1272,13 @@ mod tests {
             &src,
             1 << 20,
             1,
+            Instant::now(),
             Arc::new(AtomicU64::new(0)),
             Arc::new(AtomicBool::new(false)),
         )
         .unwrap();
         assert!(partial.load(Ordering::SeqCst), "Prepare must have landed");
-        while !plan.run_unit() {}
+        assert!(plan.run_first_unit(), "a one-chunk push is one unit");
         let outcome = plan.finalize();
         assert!(
             matches!(outcome, PlanOutcome::Failed(..)),

@@ -259,6 +259,13 @@ pub(crate) trait TransferPlan: Send + Sync {
     /// Execute one unit. Returns `true` when this was the final unit —
     /// the caller must then [`TransferPlan::finalize`].
     fn run_unit(&self) -> bool;
+    /// The planner's own unit, run once on the planning worker after
+    /// the other units are enqueued: it may resume work the planning
+    /// dispatch already started. Otherwise like
+    /// [`TransferPlan::run_unit`].
+    fn run_first_unit(&self) -> bool {
+        self.run_unit()
+    }
     /// Account for a unit that will never run (daemon shutdown drained
     /// it). Returns `true` when this was the final unit.
     fn abort_unit(&self, reason: &str) -> bool;
@@ -295,9 +302,14 @@ pub(crate) struct ChunkGrid {
 }
 
 impl ChunkGrid {
+    /// Lay out `size` bytes in `chunk_size` chunks. `started` is the
+    /// planning dispatch, so [`ChunkGrid::elapsed_usec`] covers the
+    /// planning work (probes, `create`, `set_len`) as a whole task's
+    /// elapsed time does.
     pub fn new(
         size: u64,
         chunk_size: u64,
+        started: Instant,
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
     ) -> Self {
@@ -311,7 +323,7 @@ impl ChunkGrid {
             units_done: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             peak_inflight: AtomicU64::new(0),
-            started: Instant::now(),
+            started,
             progress,
             abort,
             failed: Mutex::new(None),
@@ -324,6 +336,14 @@ impl ChunkGrid {
 
     pub fn progress(&self) -> &Arc<AtomicU64> {
         &self.progress
+    }
+
+    /// Claim chunk 0 for the planner, which starts moving it before any
+    /// unit runs; returns its length. Must precede every
+    /// [`ChunkGrid::claim`].
+    pub fn claim_first(&self) -> u64 {
+        self.next_chunk.store(1, Ordering::Relaxed);
+        self.chunk_size.min(self.size)
     }
 
     /// Claim the next chunk range, or `None` when the grid is spent,
@@ -434,6 +454,7 @@ impl ChunkedCopy {
         dst_path: &Path,
         size: u64,
         chunk_size: u64,
+        started: Instant,
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
     ) -> io::Result<Arc<ChunkedCopy>> {
@@ -452,7 +473,7 @@ impl ChunkedCopy {
             src_path: src_path.to_path_buf(),
             dst_path: dst_path.to_path_buf(),
             src_permissions,
-            grid: ChunkGrid::new(size, chunk_size, progress, abort),
+            grid: ChunkGrid::new(size, chunk_size, started, progress, abort),
         }))
     }
 }
@@ -557,6 +578,7 @@ mod tests {
             &root.join("dst"),
             data.len() as u64,
             MIN_CHUNK_SIZE,
+            Instant::now(),
             Arc::clone(&progress),
             Arc::new(AtomicBool::new(false)),
         )
@@ -584,6 +606,7 @@ mod tests {
             &root.join("dst"),
             data.len() as u64,
             MIN_CHUNK_SIZE,
+            Instant::now(),
             Arc::new(AtomicU64::new(0)),
             Arc::new(AtomicBool::new(false)),
         )
@@ -615,6 +638,7 @@ mod tests {
             &root.join("dst"),
             data.len() as u64,
             MIN_CHUNK_SIZE,
+            Instant::now(),
             Arc::new(AtomicU64::new(0)),
             Arc::clone(&abort),
         )

@@ -535,22 +535,26 @@ fn bounded_queue_reports_busy_over_sockets() {
     .unwrap();
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
-    // Pin the single worker on a long path→path copy so the flood
-    // deterministically backs up behind the 2-deep queue.
-    std::fs::write(root.join("tmp0/blocker-src"), vec![0x77u8; 64 << 20]).unwrap();
+    // Pin the single worker on a pull from a peer that accepts no
+    // connection and never answers, so the flood backs up behind the
+    // 2-deep queue however fast the box drains a local copy.
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    ctl.register_peer("silent", &silent.local_addr().unwrap().to_string())
+        .unwrap();
     let blocker = ctl
         .submit(
             1,
             TaskSpec {
                 op: TaskOp::Copy,
                 priority: DEFAULT_PRIORITY,
-                input: ResourceDesc::PosixPath {
+                input: ResourceDesc::RemotePath {
+                    host: "silent".into(),
                     nsid: "tmp0".into(),
-                    path: "blocker-src".into(),
+                    path: "blocker.dat".into(),
                 },
                 output: Some(ResourceDesc::PosixPath {
                     nsid: "tmp0".into(),
-                    path: "blocker-dst".into(),
+                    path: "blocker-copy".into(),
                 }),
                 durability: Durability::LocalOnly,
             },
@@ -591,7 +595,12 @@ fn bounded_queue_reports_busy_over_sockets() {
         busy > 0,
         "16 instant 4 MiB submissions must overflow capacity 2"
     );
-    ctl.wait(blocker, 0).unwrap();
+    // Closing the listener resets the pinned pull's connection.
+    drop(silent);
+    assert_eq!(
+        ctl.wait(blocker, 0).unwrap().state,
+        TaskState::FinishedWithError
+    );
     for id in accepted {
         let stats = ctl.wait(id, 0).unwrap();
         assert_eq!(stats.state, TaskState::Finished);

@@ -4,13 +4,17 @@
 //! cancel, and proper failures for unknown/unreachable peers and
 //! escaping remote paths. The raw-TCP tests at the end speak the
 //! framed data-plane protocol by hand to pin down what the serving
-//! daemon answers. Run this file with `NORNS_NO_SENDFILE=1` as well:
+//! daemon answers, and the scripted-peer tests after them pin down what
+//! the staging daemon sends: a planning request and chunk 0's first
+//! window in one flight. Run this file with `NORNS_NO_SENDFILE=1` as well:
 //! that switch sends pushes and served `Fetch` payloads through the
 //! buffered fallback instead of `sendfile(2)`.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use norns_ipc::{CtlClient, DaemonConfig, UrdDaemon, MIN_CHUNK_SIZE};
@@ -905,4 +909,402 @@ fn oversized_data_frame_drops_only_that_connection() {
         DataResponse::Stat { size: 12 },
         "a peer connecting after the violation is served"
     );
+}
+
+/// A `Prepare` whose preallocation fails must not leave an empty file
+/// under the final name: the `Store`s a push queues behind its
+/// `Prepare` would write into it. The error reply leaves nothing, and
+/// a following `Store` finds no destination.
+#[test]
+fn failed_prepare_leaves_no_file_for_the_stores_behind_it() {
+    let root = temp_root("torn-prepare");
+    let (daemon, _ctl, mount) =
+        start_node(&root, "nodeb", DaemonConfig::in_dir(root.join("sockets")));
+    let mut conn = raw_data_conn(&daemon);
+    let (nsid, path) = ("nodeb-ds".to_string(), "torn.dat".to_string());
+    let prepare = DataRequest::Prepare {
+        nsid: nsid.clone(),
+        path: path.clone(),
+        size: u64::MAX,
+    };
+    assert!(
+        matches!(
+            raw_call(&mut conn, &prepare, &[]).0,
+            DataResponse::Error { .. }
+        ),
+        "no file can be preallocated to u64::MAX bytes"
+    );
+    assert!(
+        !mount.join(&path).exists(),
+        "a failed Prepare must not leave a torn file"
+    );
+    let store = DataRequest::Store {
+        nsid,
+        path: path.clone(),
+        offset: 0,
+    };
+    match raw_call(&mut conn, &store, &[7u8; 1024]).0 {
+        DataResponse::Error { code, .. } => assert_eq!(code, ErrorCode::NotFound),
+        other => panic!("a Store behind a failed Prepare must fail, got {other:?}"),
+    }
+    assert!(!mount.join(&path).exists());
+}
+
+/// What a scripted data-plane peer has seen, shared with the test.
+#[derive(Default)]
+struct PeerLog {
+    /// A planning reply went out with no range request behind it on
+    /// its connection: the client waited for it (stop-and-wait).
+    stop_and_wait: AtomicBool,
+    /// Set just before the `Prepare` reply is written.
+    prepare_answered: AtomicBool,
+    /// A `Store` arrived before the `Prepare` reply was written.
+    early_store: AtomicBool,
+    /// The file the `Store`s built.
+    stored: Mutex<Vec<u8>>,
+}
+
+/// How a scripted peer answers.
+#[derive(Clone, Default)]
+struct Script {
+    /// The file `Stat` and `Fetch` serve.
+    source: Vec<u8>,
+    /// `Stat` reports this size instead of the source's.
+    stat_size: Option<u64>,
+    /// Hold each planning reply until a range request has arrived
+    /// behind it on its connection. After 2 s it goes out anyway, and
+    /// the peer records stop-and-wait.
+    await_range: bool,
+    /// Hold each planning reply this long first.
+    hold: Duration,
+}
+
+/// One request off a scripted peer's connection, with its payload.
+fn recv_request(stream: &mut TcpStream) -> Option<(DataRequest, Vec<u8>)> {
+    let mut frame = read_frame(stream).ok()?;
+    let req = DataRequest::decode(&mut frame).ok()?;
+    Some((req, frame.to_vec()))
+}
+
+/// A data-plane peer scripted by the test: it serves `script.source`
+/// under every path, keeps what is pushed in `log.stored`, and answers
+/// each connection's requests in order, as a daemon does. Returns its
+/// address.
+fn scripted_peer(script: Script, log: Arc<PeerLog>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { break };
+            let (script, log) = (script.clone(), Arc::clone(&log));
+            std::thread::spawn(move || serve_scripted(stream, &script, &log));
+        }
+    });
+    addr
+}
+
+fn serve_scripted(mut stream: TcpStream, script: &Script, log: &PeerLog) {
+    let mut held = None;
+    loop {
+        let Some((req, payload)) = held.take().or_else(|| recv_request(&mut stream)) else {
+            return;
+        };
+        let mut data = Vec::new();
+        let resp = match req {
+            DataRequest::Stat { .. } | DataRequest::Prepare { .. } => {
+                std::thread::sleep(script.hold);
+                if script.await_range {
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(2)))
+                        .unwrap();
+                    held = recv_request(&mut stream);
+                    stream.set_read_timeout(None).unwrap();
+                    if held.is_none() {
+                        log.stop_and_wait.store(true, Ordering::SeqCst);
+                    }
+                }
+                if let DataRequest::Prepare { size, .. } = req {
+                    log.stored.lock().unwrap().resize(size as usize, 0);
+                    log.prepare_answered.store(true, Ordering::SeqCst);
+                    DataResponse::Ok
+                } else {
+                    let size = script.stat_size.unwrap_or(script.source.len() as u64);
+                    DataResponse::Stat { size }
+                }
+            }
+            DataRequest::Fetch { offset, len, .. } => {
+                let end = script.source.len();
+                let from = (offset as usize).min(end);
+                data.extend_from_slice(&script.source[from..(from + len as usize).min(end)]);
+                DataResponse::Data
+            }
+            DataRequest::Store { offset, .. } => {
+                if !log.prepare_answered.load(Ordering::SeqCst) {
+                    log.early_store.store(true, Ordering::SeqCst);
+                }
+                let mut stored = log.stored.lock().unwrap();
+                let end = offset as usize + payload.len();
+                if stored.len() < end {
+                    stored.resize(end, 0);
+                }
+                stored[offset as usize..end].copy_from_slice(&payload);
+                DataResponse::Ok
+            }
+            DataRequest::Discard { .. } => DataResponse::Ok,
+        };
+        let body = resp.to_bytes();
+        let mut framed = frame_header(body.len() + data.len()).to_vec();
+        framed.extend_from_slice(&body);
+        framed.extend_from_slice(&data);
+        if stream.write_all(&framed).is_err() {
+            return;
+        }
+    }
+}
+
+/// A daemon that knows `addr` as peer `scripted`.
+fn node_with_scripted_peer(
+    tag: &str,
+    config: DaemonConfig,
+    addr: &str,
+) -> (UrdDaemon, CtlClient, PathBuf) {
+    let root = temp_root(tag);
+    let (daemon, mut ctl, mount) = start_node(&root, "nodea", config);
+    ctl.register_peer("scripted", addr).unwrap();
+    (daemon, ctl, mount)
+}
+
+/// One round trip per one-chunk push: the `Store`s leave right behind
+/// the `Prepare`, so the peer sees a `Store` before it answers the
+/// `Prepare`. A client that waits for the `Prepare` reply first leaves
+/// the peer holding it for 2 s, and the peer records stop-and-wait.
+#[test]
+fn push_sends_its_stores_without_waiting_for_the_prepare_reply() {
+    let log = Arc::new(PeerLog::default());
+    let script = Script {
+        await_range: true,
+        ..Script::default()
+    };
+    let addr = scripted_peer(script, Arc::clone(&log));
+    let cfg = DaemonConfig::in_dir(temp_root("flight-push-a").join("sockets"));
+    let (_daemon, mut ctl, mount) = node_with_scripted_peer("flight-push", cfg, &addr);
+    let data = pattern(300_000);
+    std::fs::write(mount.join("src.dat"), &data).unwrap();
+    let push = ctl
+        .submit(
+            1,
+            TaskSpec::new(
+                TaskOp::Copy,
+                local("nodea-ds", "src.dat"),
+                Some(remote("scripted", "any", "dst.dat")),
+            ),
+            None,
+        )
+        .unwrap();
+    let stats = ctl.wait(push, 0).unwrap();
+    assert_eq!(stats.state, TaskState::Finished);
+    assert_eq!(stats.bytes_moved, data.len() as u64);
+    assert!(
+        !log.stop_and_wait.load(Ordering::SeqCst),
+        "the push waited for the Prepare reply before sending a Store"
+    );
+    assert!(*log.stored.lock().unwrap() == data, "pushed bytes intact");
+}
+
+/// One round trip per one-chunk pull: the `Fetch`es leave right behind
+/// the `Stat`, stepped for a full chunk. Past the 100 000-byte source
+/// the peer answers short and then empty, and the pull expects exactly
+/// that.
+#[test]
+fn pull_sends_its_fetches_without_waiting_for_the_stat_reply() {
+    let log = Arc::new(PeerLog::default());
+    let source = pattern(100_000);
+    let script = Script {
+        source: source.clone(),
+        await_range: true,
+        ..Script::default()
+    };
+    let addr = scripted_peer(script, Arc::clone(&log));
+    let cfg = DaemonConfig::in_dir(temp_root("flight-pull-a").join("sockets"));
+    let (_daemon, mut ctl, mount) = node_with_scripted_peer("flight-pull", cfg, &addr);
+    let pull = ctl
+        .submit(
+            1,
+            TaskSpec::new(
+                TaskOp::Copy,
+                remote("scripted", "any", "src.dat"),
+                Some(local("nodea-ds", "pulled.dat")),
+            ),
+            None,
+        )
+        .unwrap();
+    let stats = ctl.wait(pull, 0).unwrap();
+    assert_eq!(stats.state, TaskState::Finished);
+    assert_eq!(stats.bytes_moved, source.len() as u64);
+    assert_eq!(stats.bytes_total, source.len() as u64);
+    assert!(
+        !log.stop_and_wait.load(Ordering::SeqCst),
+        "the pull waited for the Stat reply before sending a Fetch"
+    );
+    assert_eq!(std::fs::read(mount.join("pulled.dat")).unwrap(), source);
+}
+
+/// A pull's `elapsed_usec` starts at the planning dispatch, so the
+/// planning exchange is in it: a peer that holds its `Stat` reply for
+/// 50 ms yields at least 50 ms.
+#[test]
+fn pull_elapsed_time_covers_the_planning_exchange() {
+    let script = Script {
+        source: pattern(4096),
+        hold: Duration::from_millis(50),
+        ..Script::default()
+    };
+    let addr = scripted_peer(script, Arc::new(PeerLog::default()));
+    let cfg = DaemonConfig::in_dir(temp_root("flight-elapsed-a").join("sockets"));
+    let (_daemon, mut ctl, _mount) = node_with_scripted_peer("flight-elapsed", cfg, &addr);
+    let pull = ctl
+        .submit(
+            1,
+            TaskSpec::new(
+                TaskOp::Copy,
+                remote("scripted", "any", "src.dat"),
+                Some(local("nodea-ds", "pulled.dat")),
+            ),
+            None,
+        )
+        .unwrap();
+    let stats = ctl.wait(pull, 0).unwrap();
+    assert_eq!(stats.state, TaskState::Finished);
+    assert!(
+        stats.elapsed_usec >= 50_000,
+        "elapsed {} µs misses the 50 ms planning exchange",
+        stats.elapsed_usec
+    );
+}
+
+/// A multi-chunk push enqueues its other chunks only once the `Prepare`
+/// reply is read: with the reply held for 100 ms, no `Store` may reach
+/// the peer (on any connection) before it is written.
+#[test]
+fn multichunk_push_stores_nothing_before_the_prepare_reply() {
+    let log = Arc::new(PeerLog::default());
+    let script = Script {
+        hold: Duration::from_millis(100),
+        ..Script::default()
+    };
+    let addr = scripted_peer(script, Arc::clone(&log));
+    let cfg = DaemonConfig::in_dir(temp_root("flight-chunks-a").join("sockets"))
+        .with_chunk_size(MIN_CHUNK_SIZE);
+    let (_daemon, mut ctl, mount) = node_with_scripted_peer("flight-chunks", cfg, &addr);
+    let data = pattern((MIN_CHUNK_SIZE * 6) as usize + 100);
+    std::fs::write(mount.join("src.dat"), &data).unwrap();
+    let push = ctl
+        .submit(
+            1,
+            TaskSpec::new(
+                TaskOp::Copy,
+                local("nodea-ds", "src.dat"),
+                Some(remote("scripted", "any", "dst.dat")),
+            ),
+            None,
+        )
+        .unwrap();
+    let stats = ctl.wait(push, 0).unwrap();
+    assert_eq!(stats.state, TaskState::Finished);
+    assert!(
+        !log.early_store.load(Ordering::SeqCst),
+        "a Store reached the peer before its Prepare was answered"
+    );
+    assert!(*log.stored.lock().unwrap() == data, "pushed bytes intact");
+}
+
+/// A source that grew after its `Stat`: the `Data` for chunk 0 carries
+/// more bytes than the `Stat` size allows. The pull fails instead of
+/// staging a file that matches neither version, and leaves no local
+/// file.
+#[test]
+fn pull_of_a_source_that_grew_fails_and_leaves_no_file() {
+    let script = Script {
+        source: pattern(100_000),
+        stat_size: Some(60_000),
+        ..Script::default()
+    };
+    let addr = scripted_peer(script, Arc::new(PeerLog::default()));
+    let cfg = DaemonConfig::in_dir(temp_root("flight-grew-a").join("sockets"));
+    let (daemon, mut ctl, mount) = node_with_scripted_peer("flight-grew", cfg, &addr);
+    let pull = ctl
+        .submit(
+            1,
+            TaskSpec::new(
+                TaskOp::Copy,
+                remote("scripted", "any", "src.dat"),
+                Some(local("nodea-ds", "pulled.dat")),
+            ),
+            None,
+        )
+        .unwrap();
+    let stats = ctl.wait(pull, 0).unwrap();
+    assert_eq!(stats.state, TaskState::FinishedWithError);
+    assert_eq!(stats.error, ErrorCode::SystemError);
+    let detail = daemon.engine().error_message(pull).unwrap();
+    assert!(detail.contains("changed"), "{detail}");
+    assert!(!mount.join("pulled.dat").exists());
+}
+
+/// A refused planning request is what the task reports, not the errors
+/// of the ranges sent behind it, and the replies in flight are drained:
+/// with one worker, the same cached connection then carries a push and
+/// a pull that succeed.
+#[test]
+fn planning_errors_are_reported_and_the_worker_keeps_staging() {
+    let mut cfg_a = DaemonConfig::in_dir(temp_root("plan-err-a").join("sockets"));
+    cfg_a.workers = 1;
+    let cfg_b = DaemonConfig::in_dir(temp_root("plan-err-b").join("sockets"));
+    let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
+        two_nodes("plan-err", cfg_a, cfg_b);
+    let data = pattern(200_000);
+    std::fs::write(mount_a.join("src.dat"), &data).unwrap();
+    std::fs::create_dir_all(mount_b.join("sub")).unwrap();
+    let mut run = |input: ResourceDesc, output: ResourceDesc| {
+        let task = ctl_a
+            .submit(1, TaskSpec::new(TaskOp::Copy, input, Some(output)), None)
+            .unwrap();
+        ctl_a.wait(task, 0).unwrap()
+    };
+    for (input, output, want) in [
+        (
+            local("nodea-ds", "src.dat"),
+            remote("nodeb", "nodeb-ds", "../escape.dat"),
+            ErrorCode::PermissionDenied,
+        ),
+        (
+            remote("nodeb", "nodeb-ds", "missing.dat"),
+            local("nodea-ds", "missing.dat"),
+            ErrorCode::NotFound,
+        ),
+        (
+            remote("nodeb", "nodeb-ds", "sub"),
+            local("nodea-ds", "sub.dat"),
+            ErrorCode::BadArgs,
+        ),
+    ] {
+        let stats = run(input.clone(), output);
+        assert_eq!(stats.state, TaskState::FinishedWithError, "{input:?}");
+        assert_eq!(stats.error, want, "{input:?}");
+    }
+    assert!(!mount_a.join("missing.dat").exists());
+    assert!(!mount_a.join("sub.dat").exists());
+
+    let stats = run(
+        local("nodea-ds", "src.dat"),
+        remote("nodeb", "nodeb-ds", "dst.dat"),
+    );
+    assert_eq!(stats.state, TaskState::Finished);
+    assert_eq!(std::fs::read(mount_b.join("dst.dat")).unwrap(), data);
+    let stats = run(
+        remote("nodeb", "nodeb-ds", "dst.dat"),
+        local("nodea-ds", "back.dat"),
+    );
+    assert_eq!(stats.state, TaskState::Finished);
+    assert_eq!(std::fs::read(mount_a.join("back.dat")).unwrap(), data);
 }
